@@ -24,8 +24,11 @@ anything outside it is a compiler bug or an injection:
   ``out.append``. The emitters never produce these, so their presence
   means the source was not produced by our emitters.
 
-The compiler calls :func:`validate_generated_source` on every kernel
-immediately before ``compile``; a violation raises
+The compiler runs :func:`validate_tree` once per kernel *template*
+(the literal-free source every instance of a shape shares), under its
+own compile lock, immediately before ``compile``; :func:`mutable_consts`
+runs on every instance, because the const pool is the only part of a
+kernel that differs between instances. A violation raises
 :class:`~repro.errors.CodegenError`, which the ``try_*`` wrappers
 translate into interpreter fallback — a kernel that fails validation
 can never execute.
@@ -36,14 +39,15 @@ from __future__ import annotations
 import ast
 import threading
 from pathlib import Path
+from typing import Iterable
 
 from repro.analysis.report import Violation
 
 #: CPython's AST-object constructor tracks recursion depth in
-#: interpreter-global state; concurrent ``ast.parse`` calls from
-#: executor worker threads can trip ``SystemError: AST constructor
-#: recursion depth mismatch``. Kernels are tiny, so serializing the
-#: parse costs nothing.
+#: interpreter-global state; concurrent ``ast.parse`` calls can trip
+#: ``SystemError: AST constructor recursion depth mismatch``. This lock
+#: serializes :func:`validate_generated_source` (lint CLI, tests); the
+#: engine's kernel path parses under ``repro.codegen``'s compile lock.
 _PARSE_LOCK = threading.Lock()
 
 _MUTABLE_CONST_TYPES = (list, dict, set, bytearray)
@@ -276,6 +280,33 @@ class _Validator:
             )
 
 
+def mutable_consts(consts: Iterable, path: str = "<generated>") -> list[Violation]:
+    """CG002 over one kernel instance's const pool (pool order)."""
+    return [
+        Violation(
+            "CG002",
+            path,
+            1,
+            f"const pool entry _k{index} is mutable ({type(value).__name__})",
+        )
+        for index, value in enumerate(consts)
+        if isinstance(value, _MUTABLE_CONST_TYPES)
+    ]
+
+
+def validate_tree(
+    tree: ast.Module,
+    *,
+    allowed_builtins: frozenset[str] = frozenset(),
+    check_null_guards: bool = True,
+    path: str = "<generated>",
+) -> list[Violation]:
+    """CG001/CG003/CG004 over an already parsed kernel (takes no lock)."""
+    validator = _Validator(path, check_null_guards)
+    validator.validate(tree, allowed_builtins)
+    return validator.violations
+
+
 def validate_generated_source(
     source: str,
     *,
@@ -285,7 +316,6 @@ def validate_generated_source(
     path: str = "<generated>",
 ) -> list[Violation]:
     """Validate one emitted kernel; return all violations found."""
-    validator = _Validator(path, check_null_guards)
     try:
         with _PARSE_LOCK:
             tree = ast.parse(source)
@@ -295,19 +325,12 @@ def validate_generated_source(
                 "CG004", path, exc.lineno or 1, f"unparseable kernel: {exc.msg}"
             )
         ]
-    for index, value in enumerate(consts):
-        if isinstance(value, _MUTABLE_CONST_TYPES):
-            validator.violations.append(
-                Violation(
-                    "CG002",
-                    path,
-                    1,
-                    f"const pool entry _k{index} is mutable "
-                    f"({type(value).__name__})",
-                )
-            )
-    validator.validate(tree, allowed_builtins)
-    return validator.violations
+    return mutable_consts(consts, path) + validate_tree(
+        tree,
+        allowed_builtins=allowed_builtins,
+        check_null_guards=check_null_guards,
+        path=path,
+    )
 
 
 def check_file(path: str | Path) -> list[Violation]:

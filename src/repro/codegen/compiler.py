@@ -3,8 +3,13 @@
 A *bound* expression tree (one whose leaves are
 :class:`~repro.sql.expressions.BoundReference` ordinals) is lowered to
 a straight-line sequence of Python statements operating on a row tuple
-``r``, compiled once with :func:`compile`, and called per row without
-any tree walking. SQL three-valued logic is preserved exactly: the
+``r`` and called per row without any tree walking. Every literal except
+``None``/``True``/``False`` is hoisted into the ``_kN`` constant pool,
+so the emitted source — the kernel's *template* — depends only on the
+expression's structure and ordinals; :func:`_assemble` parses,
+validates and compiles each template once per process and instantiates
+every later kernel of that shape from the cached code object with its
+own constants. SQL three-valued logic is preserved exactly: the
 generated code branches on ``None`` in the same order the interpreter
 does, so a compiled kernel never evaluates a sub-expression the
 interpreter would have skipped.
@@ -30,17 +35,19 @@ interpreted operators are what the chaos suite certifies).
 
 from __future__ import annotations
 
+import ast
+import builtins
 import itertools
 import re
 import threading
-import warnings
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import logging
 
-from repro.analysis.codegen_rules import validate_generated_source
+from repro.analysis.codegen_rules import mutable_consts, validate_tree
 from repro.errors import FAIL_STOP, CodegenError
 from repro.sql import expressions as E
 
@@ -50,7 +57,10 @@ logger = logging.getLogger("repro.codegen")
 #: keeping the per-chunk Python-loop overhead negligible.
 DEFAULT_CHUNK_ROWS = 1024
 
-_fn_ids = itertools.count(1)
+#: Kernel templates kept per process, oldest evicted first. A template
+#: is a few KB (source key + code object); the SNB reads, the operator
+#: matrix and the serving mix together need well under a hundred.
+TEMPLATE_CAPACITY = 512
 
 
 # ----------------------------------------------------------------------
@@ -60,44 +70,49 @@ _fn_ids = itertools.count(1)
 
 @dataclass
 class CodegenStats:
-    """Counters for compiled kernels and interpreter fallbacks."""
+    """Counters for compiled templates, cache hits and fallbacks."""
 
+    #: Code objects actually compiled, i.e. template-cache misses.
     compiled: int = 0
     fallbacks: int = 0
     last_error: str | None = None
     fallback_kinds: dict[str, int] = field(default_factory=dict)
-
-    def snapshot(self) -> "CodegenStats":
-        return CodegenStats(
-            self.compiled, self.fallbacks, self.last_error, dict(self.fallback_kinds)
-        )
+    #: Kernels instantiated from an already compiled template.
+    cache_hits: int = 0
+    #: Templates cached right now (at most :data:`TEMPLATE_CAPACITY`).
+    templates: int = 0
 
 
 STATS = CodegenStats()
-_stats_lock = threading.Lock()
+#: Validated code object per (template source, validator profile).
+_TEMPLATES: dict[tuple, types.CodeType] = {}
+#: Guards :data:`STATS` and :data:`_TEMPLATES`; a template miss parses,
+#: validates, compiles and publishes while holding it.
+_lock = threading.Lock()
+#: Kernels read no globals (CG001), so every instance shares one dict.
+_KERNEL_GLOBALS = {"__builtins__": builtins}
 
 
 def stats() -> CodegenStats:
     """A point-in-time copy of the global codegen counters."""
-    with _stats_lock:
-        return STATS.snapshot()
+    with _lock:
+        return replace(
+            STATS,
+            fallback_kinds=dict(STATS.fallback_kinds),
+            templates=len(_TEMPLATES),
+        )
 
 
 def reset_stats() -> None:
-    with _stats_lock:
-        STATS.compiled = 0
-        STATS.fallbacks = 0
+    """Zero the counters; compiled templates stay cached."""
+    with _lock:
+        STATS.compiled = STATS.fallbacks = STATS.cache_hits = 0
         STATS.last_error = None
         STATS.fallback_kinds.clear()
 
 
-def _note_compiled() -> None:
-    with _stats_lock:
-        STATS.compiled += 1
-
-
 def _note_fallback(kind: str, expr: object, exc: BaseException) -> None:
-    with _stats_lock:
+    with _lock:
         STATS.fallbacks += 1
         STATS.last_error = f"{kind}: {exc}"
         STATS.fallback_kinds[kind] = STATS.fallback_kinds.get(kind, 0) + 1
@@ -121,7 +136,7 @@ class _Emitter:
         self.lines: list[str] = []
         self.depth = 1
         self._temps = itertools.count(1)
-        self.consts: list[Any] = []
+        self.consts: dict[str, Any] = {}
 
     def temp(self) -> str:
         return f"t{next(self._temps)}"
@@ -131,8 +146,9 @@ class _Emitter:
 
     def const(self, value: Any) -> str:
         """Bind ``value`` into the function via a default argument."""
-        self.consts.append(value)
-        return f"_k{len(self.consts) - 1}"
+        name = f"_k{len(self.consts)}"
+        self.consts[name] = value
+        return name
 
     class _Block:
         def __init__(self, emitter: "_Emitter") -> None:
@@ -155,8 +171,9 @@ def _unsupported(expr: E.Expression, why: str) -> CodegenError:
 def _gen(expr: E.Expression, em: _Emitter) -> str:
     """Emit statements evaluating ``expr``; returns the result atom.
 
-    The atom is either a temp variable, a tuple index ``r[i]``, or a
-    literal — always side-effect free and cheap to re-read.
+    The atom is either a temp variable, a tuple index ``r[i]``, a const
+    name or ``None``/``True``/``False`` — always side-effect free and
+    cheap to re-read.
     """
     if isinstance(expr, E.Alias):
         return _gen(expr.child, em)
@@ -166,12 +183,10 @@ def _gen(expr: E.Expression, em: _Emitter) -> str:
 
     if isinstance(expr, E.Literal):
         value = expr.value
-        if value is None or isinstance(value, (bool, int, str)):
+        # NULL and the booleans select 3VL branches, so they are part of
+        # the kernel's shape; every other literal is per-instance data.
+        if value is None or isinstance(value, bool):
             return repr(value)
-        if isinstance(value, float):
-            # repr of inf/nan is not valid source; pool those.
-            if value == value and value not in (float("inf"), float("-inf")):
-                return repr(value)
         return em.const(value)
 
     if isinstance(expr, E.Not):
@@ -394,45 +409,70 @@ def _gen_scalar_call(
 # ----------------------------------------------------------------------
 
 
-def _assemble(
-    name: str, params: str, em: _Emitter, header: Sequence[str] = ()
-) -> Callable[..., Any]:
-    """Compile the emitted body into a callable.
-
-    Constants are bound as default arguments so the generated code
-    reads them as locals, not globals.
-    """
-    defaults = "".join(f", _k{i}=_k{i}" for i in range(len(em.consts)))
-    lines = [f"def {name}({params}{defaults}):"]
-    lines.extend("    " + h for h in header)
-    lines.extend(em.lines)
-    src = "\n".join(lines) + "\n"
-    problems = validate_generated_source(src, consts=em.consts)
+def _check(name: str, problems: Sequence[Any]) -> None:
     if problems:
         raise CodegenError(
             f"kernel {name} failed validation: "
             + "; ".join(f"{p.rule} {p.message}" for p in problems)
         )
-    namespace: dict[str, Any] = {
-        f"_k{i}": value for i, value in enumerate(em.consts)
-    }
-    with warnings.catch_warnings():
-        # Inlined literals produce correct-but-noisy comparisons like
-        # ``1 is None`` (always False); CPython flags them.
-        warnings.simplefilter("ignore", SyntaxWarning)
-        code = compile(src, f"<repro.codegen:{name}>", "exec")
-    exec(code, namespace)
-    fn = namespace[name]
+
+
+def _compile_template(
+    name: str, src: str, allowed_builtins: frozenset[str], check_null_guards: bool
+) -> types.CodeType:
+    """Parse, validate (CG001/3/4) and compile one template. The caller
+    holds :data:`_lock`, which also serializes ``ast.parse``."""
+    try:
+        tree = ast.parse(src)
+    except SyntaxError as exc:
+        raise CodegenError(f"kernel {name} is unparseable: {exc.msg}") from exc
+    _check(
+        name,
+        validate_tree(
+            tree,
+            allowed_builtins=allowed_builtins,
+            check_null_guards=check_null_guards,
+        ),
+    )
+    scratch: dict[str, Any] = {}
+    exec(compile(tree, f"<repro.codegen:{name}>", "exec"), scratch)
+    return scratch[name].__code__
+
+
+def _assemble(
+    name: str,
+    params: str,
+    em: Any,
+    allowed_builtins: frozenset[str] = frozenset(),
+    check_null_guards: bool = True,
+) -> Callable[..., Any]:
+    """Instantiate the emitted kernel (``em.lines`` + ``em.consts``).
+
+    The source lists the constants as trailing parameters and holds no
+    values, so every kernel of this shape shares it: validation and
+    ``compile`` run once per template, and an instance is the cached
+    code object plus its own constants as argument defaults (read as
+    locals, not globals). Only CG002 depends on the constants, so only
+    it runs per instance.
+    """
+    consts = tuple(em.consts.values())
+    _check(name, mutable_consts(consts))
+    src = f"def {name}({', '.join((params, *em.consts))}):\n"
+    src += "\n".join(em.lines) + "\n"
+    key = (src, allowed_builtins, check_null_guards)
+    with _lock:
+        code = _TEMPLATES.get(key)
+        if code is None:
+            code = _compile_template(name, src, allowed_builtins, check_null_guards)
+            if len(_TEMPLATES) >= TEMPLATE_CAPACITY:
+                del _TEMPLATES[next(iter(_TEMPLATES))]
+            _TEMPLATES[key] = code
+            STATS.compiled += 1
+        else:
+            STATS.cache_hits += 1
+    fn = types.FunctionType(code, _KERNEL_GLOBALS, name, consts or None)
     fn.__codegen_source__ = src
     return fn
-
-
-def compile_predicate(expr: E.Expression) -> Callable[[tuple], Any]:
-    """Compile a bound boolean expression to ``fn(row) -> True|False|None``."""
-    em = _Emitter()
-    atom = _gen(expr, em)
-    em.line(f"return {atom}")
-    return _assemble(f"_pred{next(_fn_ids)}", "r", em)
 
 
 def compile_value(expr: E.Expression) -> Callable[[tuple], Any]:
@@ -440,7 +480,12 @@ def compile_value(expr: E.Expression) -> Callable[[tuple], Any]:
     em = _Emitter()
     atom = _gen(expr, em)
     em.line(f"return {atom}")
-    return _assemble(f"_val{next(_fn_ids)}", "r", em)
+    return _assemble("_val", "r", em)
+
+
+def compile_predicate(expr: E.Expression) -> Callable[[tuple], Any]:
+    """Compile a bound boolean expression to ``fn(row) -> True|False|None``."""
+    return compile_value(expr)
 
 
 def compile_projection(exprs: Sequence[E.Expression]) -> Callable[[tuple], tuple]:
@@ -449,7 +494,7 @@ def compile_projection(exprs: Sequence[E.Expression]) -> Callable[[tuple], tuple
     atoms = [_gen(e, em) for e in exprs]
     inner = ", ".join(atoms) + ("," if len(atoms) == 1 else "")
     em.line(f"return ({inner})")
-    return _assemble(f"_proj{next(_fn_ids)}", "r", em)
+    return _assemble("_proj", "r", em)
 
 
 def compile_key_extractor(
@@ -473,7 +518,7 @@ def compile_key_extractor(
         atoms.append(atom)
     inner = ", ".join(atoms) + ("," if len(atoms) == 1 else "")
     em.line(f"return ({inner})")
-    return _assemble(f"_key{next(_fn_ids)}", "r", em)
+    return _assemble("_key", "r", em)
 
 
 def compile_filter_project_kernel(
@@ -506,12 +551,28 @@ def compile_filter_project_kernel(
             inner = ", ".join(atoms) + ("," if len(atoms) == 1 else "")
             em.line(f"_append(({inner}))")
     em.line("return out")
-    return _assemble(f"_fused{next(_fn_ids)}", "rows", em)
+    return _assemble("_fused", "rows", em)
 
 
 # ----------------------------------------------------------------------
 # Fallback-wrapped entry points (what the operators call)
 # ----------------------------------------------------------------------
+
+
+def _try_compile(
+    enabled: bool, kind: str, subject: object, build: Callable[..., Any], *args: Any
+) -> Callable[..., Any] | None:
+    """``build(*args)``, or ``None`` when disabled or after recording
+    the compile error as a fallback."""
+    if not enabled:
+        return None
+    try:
+        return build(*args)
+    except FAIL_STOP:
+        raise
+    except Exception as exc:  # noqa: BLE001 - any compile error falls back
+        _note_fallback(kind, subject, exc)
+        return None
 
 
 def predicate_fn(
@@ -520,44 +581,20 @@ def predicate_fn(
     """Compiled predicate, or the interpreted bound method on failure."""
     if expr is None:
         return None
-    if enabled:
-        try:
-            fn = compile_predicate(expr)
-            _note_compiled()
-            return fn
-        except FAIL_STOP:
-            raise
-        except Exception as exc:  # noqa: BLE001 - any compile error falls back
-            _note_fallback("predicate", expr, exc)
-    return expr.eval
+    return _try_compile(enabled, "predicate", expr, compile_predicate, expr) or expr.eval
 
 
 def value_fn(expr: E.Expression, enabled: bool = True) -> Callable[[tuple], Any]:
     """Compiled scalar extractor, or the interpreted bound method."""
-    if enabled:
-        try:
-            fn = compile_value(expr)
-            _note_compiled()
-            return fn
-        except FAIL_STOP:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            _note_fallback("value", expr, exc)
-    return expr.eval
+    return _try_compile(enabled, "value", expr, compile_value, expr) or expr.eval
 
 
 def projection_fn(
     exprs: Sequence[E.Expression], enabled: bool = True
 ) -> Callable[[tuple], tuple]:
-    if enabled:
-        try:
-            fn = compile_projection(exprs)
-            _note_compiled()
-            return fn
-        except FAIL_STOP:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            _note_fallback("projection", exprs, exc)
+    fn = _try_compile(enabled, "projection", exprs, compile_projection, exprs)
+    if fn is not None:
+        return fn
     bound = list(exprs)
     return lambda r: tuple(e.eval(r) for e in bound)
 
@@ -567,15 +604,11 @@ def key_fn(
     null_to_none: bool = False,
     enabled: bool = True,
 ) -> Callable[[tuple], tuple | None]:
-    if enabled:
-        try:
-            fn = compile_key_extractor(exprs, null_to_none)
-            _note_compiled()
-            return fn
-        except FAIL_STOP:
-            raise
-        except Exception as exc:  # noqa: BLE001
-            _note_fallback("key", exprs, exc)
+    fn = _try_compile(
+        enabled, "key", exprs, compile_key_extractor, exprs, null_to_none
+    )
+    if fn is not None:
+        return fn
     bound = list(exprs)
     if null_to_none:
         def interpreted_join_key(r: tuple) -> tuple | None:
@@ -592,17 +625,14 @@ def try_filter_project_kernel(
     enabled: bool = True,
 ) -> Callable[[Iterable[tuple]], list[tuple]] | None:
     """Fused kernel or ``None`` (caller keeps its row-at-a-time path)."""
-    if not enabled:
-        return None
-    try:
-        kernel = compile_filter_project_kernel(condition, projections)
-        _note_compiled()
-        return kernel
-    except FAIL_STOP:
-        raise
-    except Exception as exc:  # noqa: BLE001
-        _note_fallback("fused", (condition, projections), exc)
-        return None
+    return _try_compile(
+        enabled,
+        "fused",
+        (condition, projections),
+        compile_filter_project_kernel,
+        condition,
+        projections,
+    )
 
 
 def chunked(

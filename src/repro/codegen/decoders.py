@@ -32,16 +32,13 @@ tests in ``tests/codegen`` enforce that.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 
-from repro.analysis.codegen_rules import validate_generated_source
+from repro.codegen.compiler import _assemble
 from repro.errors import CodegenError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.rowcodec import RowCodec
-
-_decoder_ids = itertools.count(1)
 
 
 class _RowEmitter:
@@ -149,28 +146,15 @@ class _RowEmitter:
         self.line(depth + 1, f"_append({tuple_src})")
 
     def assemble(self, params: str):
-        name = f"_decode{next(_decoder_ids)}"
-        defaults = "".join(f", {n}={n}" for n in self.consts)
-        src = "\n".join([f"def {name}({params}{defaults}):"] + self.lines) + "\n"
         # Decoders read raw bitmap bytes on purpose, so the 3VL guard
         # rule does not apply; str/bytes are the only builtins allowed.
-        problems = validate_generated_source(
-            src,
-            consts=tuple(self.consts.values()),
+        return _assemble(
+            "_decode",
+            params,
+            self,
             allowed_builtins=frozenset({"str", "bytes"}),
             check_null_guards=False,
         )
-        if problems:
-            raise CodegenError(
-                f"decoder {name} failed validation: "
-                + "; ".join(f"{p.rule} {p.message}" for p in problems)
-            )
-        namespace = dict(self.consts)
-        code = compile(src, f"<repro.codegen:{name}>", "exec")
-        exec(code, namespace)
-        fn = namespace[name]
-        fn.__codegen_source__ = src
-        return fn
 
 
 def _check_fields(

@@ -311,8 +311,6 @@ class Config:
     #: Seeded chaos-injection profile; ``None`` (the default) disables
     #: all fault injection.
     faults: FaultProfile | None = None
-    #: Extra free-form options (namespaced strings, like Spark conf keys).
-    extra: dict[str, Any] = field(default_factory=dict)
 
     def _require(self, knob: str, ok: bool, requirement: str) -> None:
         """One validation: a failed requirement is a loud
@@ -421,7 +419,3 @@ class Config:
     def with_options(self, **changes: Any) -> "Config":
         """Return a copy of this config with the given fields replaced."""
         return replace(self, **changes)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Look up a free-form option from :attr:`extra`."""
-        return self.extra.get(key, default)

@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import codegen
 from repro.config import Config
 from repro.core import enable_indexing
 from repro.snb import ALL_QUERIES, generate, load_indexed, load_vanilla, run_query
+from repro.sql import expressions as E
 from repro.sql.session import Session
+from repro.sql.types import LongType
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +36,24 @@ def _session(executors: int) -> Session:
 def _params(dataset, kind: str) -> list:
     ids = dataset.person_ids() if kind == "person" else dataset.message_ids()
     return ids[:: max(1, len(ids) // 2)][:2]
+
+
+KERNEL_ROWS = [(i, f"n{i}") for i in range(-50, 200)] + [(None, None)]
+
+
+def _template_kernels() -> dict:
+    """Fused kernels of one shape: they share a code object, so the
+    literals exist only in each function's ``__defaults__``."""
+    ref = E.BoundReference(0, LongType(), "id")
+    kernels = {
+        bound: codegen.compile_filter_project_kernel(
+            E.GreaterThan(ref, E.Literal(bound)), [E.Add(ref, E.Literal(bound * 7))]
+        )
+        for bound in (3, 150, -(2**70))
+    }
+    assert len({k.__code__ for k in kernels.values()}) == 1
+    assert kernels[150].__defaults__ == (150, 1050)
+    return kernels
 
 
 def _run_all(session, dataset) -> dict:
@@ -62,10 +83,22 @@ def local_results(dataset):
 @pytest.mark.parametrize("executors", [2, 4])
 def test_snb_bit_identical(dataset, local_results, executors):
     session = _session(executors)
+    kernels = _template_kernels()
     try:
         actual = _run_all(session, dataset)
+        before = session.ctx.backend.stats()
+        # The by-value function reducer must ship argdefs: a worker that
+        # rebuilt the bare code object could not even call the kernel.
+        shipped = {
+            bound: session.ctx.parallelize(KERNEL_ROWS, 4).map_partitions(kernel).collect()
+            for bound, kernel in kernels.items()
+        }
         stats = session.ctx.backend.stats()
     finally:
         session.stop()
     assert actual == local_results
+    assert shipped == {bound: kernel(KERNEL_ROWS) for bound, kernel in kernels.items()}
+    assert shipped[150] == [(i + 1050,) for i in range(151, 200)]
     assert stats["workers_lost"] == 0
+    assert stats["tasks_dispatched"] >= before["tasks_dispatched"] + 12
+    assert stats["codec_fallbacks"] == before["codec_fallbacks"]

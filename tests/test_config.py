@@ -36,11 +36,6 @@ class TestConfig:
         with pytest.raises(CapacityError):
             Config(batch_size_bytes=100)
 
-    def test_extra_options(self):
-        config = Config(extra={"demo.dashboard": True})
-        assert config.get("demo.dashboard") is True
-        assert config.get("missing", "fallback") == "fallback"
-
 
 class TestEnvFlags:
     """Shared REPRO_* boolean parsing (`_env_flag`)."""
