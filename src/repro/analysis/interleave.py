@@ -1,9 +1,11 @@
 """Deterministic interleaving driver over the instrumented atomics.
 
-:class:`~repro.ctrie.atomic.AtomicReference` exposes a yield hook that
-fires on entry to every ``get`` / ``set`` / ``compare_and_set`` /
-``get_and_set``. :class:`DeterministicInterleaver` uses it to turn a
-handful of threads into a seeded, scheduler-controlled interleaving:
+:mod:`repro.ctrie.atomic` exposes a yield hook that fires on entry to
+every atomic operation of the concurrent trie: the root cell's ``get``
+/ ``set`` / ``compare_and_set`` / ``get_and_set``, the node-slot CAS
+functions, and each ``INode.main`` read the trie performs.
+:class:`DeterministicInterleaver` uses it to turn a handful of threads
+into a seeded, scheduler-controlled interleaving:
 
 * every registered worker *parks* at each atomic operation;
 * a driver loop picks the next worker to release using a seeded RNG,

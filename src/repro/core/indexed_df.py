@@ -221,9 +221,7 @@ class IndexedDataFrame:
                 for partition in store.partitions
             ],
         )
-        return IndexedDataFrame(
-            self.session, self.schema, self.key_ordinal, store, store.capture()
-        )
+        return self._next_handle()
 
     def get_rows(self, key: Any) -> DataFrame:
         """All rows whose indexed column equals ``key``, as a DataFrame.
@@ -233,7 +231,7 @@ class IndexedDataFrame:
         without it, the plan falls back to scan + filter and still
         returns the same rows.
         """
-        relation = IndexedRelation(self, self.version)
+        relation = self._relation()
         condition = EqualTo(relation.key_attribute, Literal(key))
         return DataFrame(self.session, Filter(condition, relation))
 
@@ -297,9 +295,22 @@ class IndexedDataFrame:
             self._load_from_dataframe(rows)
         else:
             self._load_from_rows(rows)
+        return self._next_handle()
+
+    def _next_handle(self) -> "IndexedDataFrame":
+        """Mint the store's next version and the handle bound to it.
+
+        The session's plan cache is told first: full plans over older
+        versions of this store can never be hit again, and dropping
+        them here means a superseded version dies — by reference
+        counting — the moment the caller lets go of its old handle.
+        """
+        version = self.store.capture()
+        cache = self.session.plan_cache
+        if cache is not None:
+            cache.supersede(version.store_id, version.version_id)
         return IndexedDataFrame(
-            self.session, self.schema, self.key_ordinal, self.store,
-            self.store.capture(),
+            self.session, self.schema, self.key_ordinal, self.store, version
         )
 
     def join(
@@ -361,6 +372,11 @@ class IndexedDataFrame:
     # Interop with the DataFrame/SQL world
     # ------------------------------------------------------------------
 
+    def _relation(self) -> IndexedRelation:
+        """A new scan of this version (fresh attribute ids). It holds
+        the version, never this handle — see :class:`IndexedRelation`."""
+        return IndexedRelation(self.schema, self.key_ordinal, self.version)
+
     def to_df(self) -> DataFrame:
         """A DataFrame view of this version (composable with any SQL or
         DataFrame operation; indexed rules apply when enabled).
@@ -370,7 +386,7 @@ class IndexedDataFrame:
         building join conditions.
         """
         if self._df is None:
-            self._df = DataFrame(self.session, IndexedRelation(self, self.version))
+            self._df = DataFrame(self.session, self._relation())
         return self._df
 
     def col(self, name: str) -> Column:
@@ -378,7 +394,7 @@ class IndexedDataFrame:
         return self.to_df().col(name)
 
     def create_or_replace_temp_view(self, name: str) -> None:
-        self.session.catalog.register(name, IndexedRelation(self, self.version))
+        self.session.catalog.register(name, self._relation())
 
     def collect(self) -> list[Row]:
         return self.to_df().collect()

@@ -20,16 +20,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.durability.checkpoint import DurableStore
 
 _version_ids = itertools.count(1)
+_store_ids = itertools.count(1)
 
 
 class Version:
-    """An immutable point-in-time view across all partitions."""
+    """An immutable point-in-time view across all partitions.
 
-    __slots__ = ("version_id", "snapshots")
+    Who keeps a version alive: the :class:`IndexedDataFrame` handles
+    bound to it, the plans (and running tasks) built from those handles,
+    and nothing else — no store, partition or cache holds one strongly,
+    and nothing a version reaches points back at a handle. Dropping the
+    last handle therefore frees the version, and the trie generation
+    only it could still read, by reference counting on the spot.
+    """
 
-    def __init__(self, snapshots: Sequence[PartitionSnapshot]):
+    __slots__ = (
+        "version_id",
+        "snapshots",
+        "store_id",
+        "bitmap_ordinals",
+        "__weakref__",
+    )
+
+    def __init__(self, snapshots: Sequence[PartitionSnapshot], store_id: int = 0):
+        #: Process-wide and increasing: a later capture of one store
+        #: always has the larger id.
         self.version_id = next(_version_ids)
         self.snapshots = list(snapshots)
+        #: Which store minted this version (0: none, a bare version).
+        self.store_id = store_id
+        #: Storage ordinals with a bitmap index attached at this version.
+        self.bitmap_ordinals = tuple(
+            sorted(set().union(*(s.bitmaps or () for s in self.snapshots)))
+        )
 
     @property
     def num_partitions(self) -> int:
@@ -57,6 +80,9 @@ class VersionedStore:
         if not partitions:
             raise ValueError("a versioned store needs at least one partition")
         self.partitions = list(partitions)
+        #: Identity of this store for plan-cache keys: unlike ``id()``
+        #: it is never reused, so nothing needs pinning to keep it valid.
+        self.store_id = next(_store_ids)
         self._capture_lock = threading.Lock()
         # Set by the durability coordinator when this store is bound to
         # an on-disk DurableStore (WAL + checkpoints); None for plain
@@ -72,7 +98,7 @@ class VersionedStore:
     def capture(self) -> Version:
         """Mint a new version from the current partition states."""
         with self._capture_lock:
-            return Version([p.snapshot() for p in self.partitions])
+            return Version([p.snapshot() for p in self.partitions], self.store_id)
 
     def total_rows(self) -> int:
         return sum(p.row_count for p in self.partitions)

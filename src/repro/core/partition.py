@@ -4,9 +4,9 @@ Combines the three per-partition structures of paper §2 — the cTrie
 index, the row batches, and the backward pointers — and implements the
 two operations the paper describes:
 
-* **append**: encode the row, look up the key's current head pointer,
-  store the row with that pointer as its backward link, and point the
-  cTrie at the new row;
+* **append**: encode the row, point the cTrie at the place the row is
+  about to occupy — one upsert, which returns the key's previous head
+  pointer — and store the row with that pointer as its backward link;
 * **lookup**: read the cTrie, then walk the backward chain to collect
   every row sharing the key.
 
@@ -18,6 +18,7 @@ queries run at a stable version while appends continue.
 from __future__ import annotations
 
 import threading
+import weakref
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
@@ -44,6 +45,7 @@ class PartitionSnapshot:  # analysis: shipped
         "batch_zones",
         "zone",
         "bitmaps",
+        "__weakref__",
     )
 
     def __init__(
@@ -234,6 +236,11 @@ class IndexedPartition:
         # never the other way around); the dict itself — attach, lookup,
         # iteration on the append path — is append-lock territory.
         self._bitmap_indexes: dict = {}  # guarded-by: _append_lock
+        # The last snapshot handed out, while nothing has changed since
+        # and someone still holds it. Weak: the partition must not keep
+        # a version alive (and a strong reference would close a cycle
+        # through ``PartitionSnapshot.partition``).
+        self._last_snapshot: "weakref.ref | None" = None  # guarded-by: _append_lock
 
     # -- writes ------------------------------------------------------------
 
@@ -252,22 +259,9 @@ class IndexedPartition:
 
     def append(self, row: Sequence[Any]) -> int:
         """Append one row; returns its packed pointer."""
-        payload = self.codec.encode(row)
-        key = row[self.key_ordinal]
+        payloads = [self.codec.encode(row)]
         with self._append_lock:
-            if self._wal is not None:
-                self._wal.append_rows([payload])
-            prev = self.trie.get(key, NULL_POINTER)
-            pointer = self.batches.append(payload, prev)
-            self.trie.insert(key, pointer)
-            self._row_count += 1
-            if prev == NULL_POINTER:
-                self._distinct_keys += 1
-            if self._batch_zones is not None:
-                self._record_row(row)
-            for bitmap_index in self._bitmap_indexes.values():
-                bitmap_index.record(row, pointer)
-        return pointer
+            return self._apply((row,), payloads)
 
     def append_many(self, rows: Sequence[Sequence[Any]]) -> int:
         """Append a batch of rows; returns how many were stored.
@@ -276,69 +270,106 @@ class IndexedPartition:
         thereby schema/capacity-validated) before the first one is
         stored, matching the atomic-apply contract the MVCC watermark
         dedup relies on — and letting the WAL log the whole batch with
-        one write + fsync before any in-memory mutation.
+        one write + fsync before any in-memory mutation. Encoding is
+        pure, so it runs *before* the append lock is taken: snapshots,
+        captures and checkpoint rotation never wait on it.
         """
-        count = 0
-        codec = self.codec
+        encode = self.codec.encode
+        payloads = [encode(row) for row in rows]
+        if payloads:
+            with self._append_lock:
+                self._apply(rows, payloads)
+        return len(payloads)
+
+    def _apply(  # requires-lock: _append_lock
+        self, rows: Sequence[Sequence[Any]], payloads: list[bytes]
+    ) -> int:
+        """Log, then store, encoded rows; returns the last row's pointer.
+
+        Per row: reserve the record's pointer, swing the cTrie to it —
+        one upsert that hands back the key's previous head — write the
+        record with that head as its backward link, then fold the row
+        into the zone maps and bitmap deltas. Between the upsert and
+        the write the live trie points at bytes not yet written; only
+        snapshots dereference pointers, and taking one needs this lock.
+        """
+        if self._wal is not None:
+            self._wal.append_rows(payloads)
+        self._last_snapshot = None
         key_ordinal = self.key_ordinal
-        with self._append_lock:
-            payloads = [codec.encode(row) for row in rows]
-            if self._wal is not None and payloads:
-                self._wal.append_rows(payloads)
-            trie = self.trie
-            batches = self.batches
-            track_zones = self._batch_zones is not None
-            bitmap_indexes = list(self._bitmap_indexes.values())
-            fresh_keys = 0
-            for row, payload in zip(rows, payloads):
-                key = row[key_ordinal]
-                prev = trie.get(key, NULL_POINTER)
-                pointer = batches.append(payload, prev)
-                trie.insert(key, pointer)
-                count += 1
-                if prev == NULL_POINTER:
-                    fresh_keys += 1
-                if track_zones:
-                    self._record_row(row)
-                for bitmap_index in bitmap_indexes:
-                    bitmap_index.record(row, pointer)
-            self._row_count += count
-            self._distinct_keys += fresh_keys
-        return count
+        upsert = self.trie.insert
+        reserve = self.batches.reserve
+        write = self.batches.write
+        record_zones = self._record_row if self._batch_zones is not None else None
+        record_bitmaps = [index.record for index in self._bitmap_indexes.values()]
+        fresh_keys = 0
+        pointer = NULL_POINTER
+        for row, payload in zip(rows, payloads):
+            pointer = reserve(len(payload))
+            prev = upsert(row[key_ordinal], pointer, NULL_POINTER)
+            write(payload, prev)
+            if prev == NULL_POINTER:
+                fresh_keys += 1
+            if record_zones is not None:
+                record_zones(row)
+            for record in record_bitmaps:
+                record(row, pointer)
+        self._row_count += len(payloads)
+        self._distinct_keys += fresh_keys
+        return pointer
 
     # -- versioning -----------------------------------------------------------
 
     def snapshot(self) -> PartitionSnapshot:
-        """Capture a consistent point-in-time view (O(1))."""
+        """Capture a consistent point-in-time view (O(1)).
+
+        A partition that received no row (and no new index) since its
+        last snapshot hands that snapshot out again while anyone still
+        holds it: small update batches leave most partitions untouched,
+        and a fresh trie generation would make the next writer re-copy
+        the path to every key it touches for nothing.
+        """
         with self._append_lock:
-            trie = self.trie.readonly_snapshot()
-            watermark = self.batches.watermark()
-            count = self._row_count
-            distinct = self._distinct_keys
-            batch_zones = zone = None
-            if self._batch_zones is not None:
-                # Sealed zones (all but the last) never change again and
-                # can be shared; the active one is copied so appends past
-                # the watermark stay invisible to this snapshot.
-                batch_zones = self._batch_zones[:-1] + [self._batch_zones[-1].copy()]
-                zone = self._zone.copy()
-                if self._sanitize:
-                    # Snapshot-owned copies are immutable by contract
-                    # too: poison them so any consumer that tries to
-                    # fold new rows into a snapshot's zone map trips
-                    # SZ001 instead of skewing pruning decisions.
-                    batch_zones[-1].seal()
-                    zone.seal()
             if self._sanitize:
                 self.batches.verify_seals()
-            bitmaps = None
-            if self._bitmap_indexes:
-                bitmaps = {
-                    ordinal: index.snapshot_view()
-                    for ordinal, index in self._bitmap_indexes.items()
-                }
+            last = self._last_snapshot
+            snapshot = last() if last is not None else None
+            if snapshot is None:
+                snapshot = self._snapshot_locked()
+                self._last_snapshot = weakref.ref(snapshot)
+        return snapshot
+
+    def _snapshot_locked(self) -> PartitionSnapshot:  # requires-lock: _append_lock
+        trie = self.trie.readonly_snapshot()
+        batch_zones = zone = None
+        if self._batch_zones is not None:
+            # Sealed zones (all but the last) never change again and
+            # can be shared; the active one is copied so appends past
+            # the watermark stay invisible to this snapshot.
+            batch_zones = self._batch_zones[:-1] + [self._batch_zones[-1].copy()]
+            zone = self._zone.copy()
+            if self._sanitize:
+                # Snapshot-owned copies are immutable by contract
+                # too: poison them so any consumer that tries to
+                # fold new rows into a snapshot's zone map trips
+                # SZ001 instead of skewing pruning decisions.
+                batch_zones[-1].seal()
+                zone.seal()
+        bitmaps = None
+        if self._bitmap_indexes:
+            bitmaps = {
+                ordinal: index.snapshot_view()
+                for ordinal, index in self._bitmap_indexes.items()
+            }
         return PartitionSnapshot(
-            self, trie, watermark, count, distinct, batch_zones, zone, bitmaps
+            self,
+            trie,
+            self.batches.watermark(),
+            self._row_count,
+            self._distinct_keys,
+            batch_zones,
+            zone,
+            bitmaps,
         )
 
     # -- secondary indexes -----------------------------------------------------
@@ -364,6 +395,7 @@ class IndexedPartition:
             for pointer, payload in self.batches.records():
                 index.record(codec.decode(payload), pointer)
             self._bitmap_indexes[ordinal] = index
+            self._last_snapshot = None
         return index
 
     def bitmap_index(self, ordinal: int):

@@ -32,8 +32,9 @@ HEADER_SIZE = _HEADER.size  # 10 bytes
 class BatchManager:
     """A growable sequence of fixed-capacity byte buffers.
 
-    ``append`` returns the packed pointer of the stored row; ``read``
-    resolves a packed pointer back to (prev_pointer, payload memoryview).
+    ``append`` (``reserve`` + ``write``) returns the packed pointer of
+    the stored row; ``read`` resolves a packed pointer back to
+    (prev_pointer, payload memoryview).
     """
 
     def __init__(
@@ -86,20 +87,27 @@ class BatchManager:
 
     # ------------------------------------------------------------------
 
-    def append(self, payload: bytes, prev_pointer: int = NULL_POINTER) -> int:
-        """Store one encoded row; returns its packed pointer.
+    def reserve(self, length: int) -> int:
+        """Make room for a ``length``-byte payload; returns the packed
+        pointer the next :meth:`write` will store it under.
+
+        A record's pointer depends only on where the cursor stands and
+        on the payload's size — not on its backward link — so a caller
+        can publish the pointer (as the key's new chain head) and learn
+        the previous head in one index operation, then :meth:`write`.
+        Rolls to a fresh batch when the record does not fit.
 
         NOT thread-safe — the owning partition serializes appends,
         matching Spark's one-task-per-partition execution model.
         """
-        record_size = HEADER_SIZE + len(payload)
+        record_size = HEADER_SIZE + length
         if record_size > self.batch_size:
             raise CapacityError(
                 f"record of {record_size} bytes exceeds batch size {self.batch_size}"
             )
-        if len(payload) > self.layout.max_size:
+        if length > self.layout.max_size:
             raise CapacityError(
-                f"payload of {len(payload)} bytes exceeds the pointer size field"
+                f"payload of {length} bytes exceeds the pointer size field"
             )
         used = self._lengths[-1]
         if used + record_size > self.batch_size:
@@ -110,15 +118,25 @@ class BatchManager:
             used = 0
             if len(self._batches) - 1 > self.layout.max_batch:
                 raise CapacityError("partition exceeded the addressable batch count")
-        batch_no = len(self._batches) - 1
-        batch = self._batches[batch_no]
-        offset = used
+        return self.layout.pack(len(self._batches) - 1, used, length)
+
+    def write(self, payload: bytes, prev_pointer: int) -> None:
+        """Store ``payload`` at the cursor :meth:`reserve` just
+        positioned for it, linked back to ``prev_pointer``."""
+        batch = self._batches[-1]
+        offset = self._lengths[-1]
+        start = offset + HEADER_SIZE
         _HEADER.pack_into(batch, offset, prev_pointer, len(payload))
-        batch[offset + HEADER_SIZE : offset + record_size] = payload
+        batch[start : start + len(payload)] = payload
         # Publish the new length only after the bytes are in place, so a
         # racing watermark never covers a half-written record.
-        self._lengths[batch_no] = offset + record_size
-        return self.layout.pack(batch_no, offset, len(payload))
+        self._lengths[-1] = start + len(payload)
+
+    def append(self, payload: bytes, prev_pointer: int = NULL_POINTER) -> int:
+        """Store one encoded row; returns its packed pointer."""
+        pointer = self.reserve(len(payload))
+        self.write(payload, prev_pointer)
+        return pointer
 
     def read(self, pointer: int) -> tuple[int, memoryview]:
         """Resolve a packed pointer to ``(prev_pointer, payload_view)``."""

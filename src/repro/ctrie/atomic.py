@@ -1,14 +1,31 @@
-"""Atomic reference cells with compare-and-set.
+"""Compare-and-set for the concurrent trie.
 
 CPython has no user-level CAS instruction, so we emulate one with a
-per-cell lock. The lock is held only for the pointer comparison and
-swap — the algorithms built on top (GCAS, RDCSS) retain their retry
-structure and their semantics; only the progress guarantee weakens from
-lock-free to fine-grained blocking, which is invisible to the paper's
-evaluation (single process, GIL).
+lock held only for the pointer comparison and swap — the algorithms
+built on top (GCAS, RDCSS) retain their retry structure and their
+semantics; only the progress guarantee weakens from lock-free to
+blocking, which is invisible to the paper's evaluation (single
+process, GIL).
+
+Two forms exist:
+
+* :class:`AtomicReference` — a cell with its own lock. Only a trie's
+  *root* is one (a root swap must exclude other root swaps of the same
+  trie, nothing else).
+* :func:`cas_main` / :func:`cas_prev` — CAS on a plain node slot
+  (``INode.main``, ``MainNode.prev``) under the one module-level
+  :data:`_cas_lock`. Trie nodes therefore carry no cell and no lock of
+  their own: a node is one object. One lock for every node of every
+  trie is sound because it is a *leaf*: the critical section is a
+  compare and a store, calls nothing, and takes no other lock. It is
+  also cheap: under the GIL two threads never run the section at once,
+  and writers of one partition are already serialized by that
+  partition's append lock, so a thread only ever waits here when a
+  thread switch landed inside the two-bytecode section.
 
 Comparison is by identity (``is``), exactly like a hardware CAS on a
-pointer.
+pointer. Plain slot *reads* need no lock: a pointer load is atomic
+under the GIL.
 """
 
 from __future__ import annotations
@@ -18,11 +35,16 @@ from typing import Any, Callable
 
 #: Instrumented yield point for the deterministic interleaving driver
 #: (:mod:`repro.analysis.interleave`). When installed, every atomic
-#: operation calls the hook *on entry, before taking the cell lock* —
-#: never while holding it, so the driver can park a thread here without
-#: wedging other threads on the same cell. ``None`` (the default) costs
-#: one global read per operation.
+#: operation — the cell methods, the slot CAS functions, and the trie's
+#: own slot reads (``CTrie.gcas_read``) — calls the hook *on entry,
+#: before taking any lock*, never while holding one, so the driver can
+#: park a thread here without wedging other threads. ``None`` (the
+#: default) costs one global read per operation.
 _yield_hook: Callable[[str], None] | None = None
+
+#: Guards every node-slot CAS (see the module docstring). Never held
+#: across a call.
+_cas_lock = threading.Lock()
 
 
 def install_yield_hook(hook: Callable[[str], None]) -> None:
@@ -34,6 +56,28 @@ def install_yield_hook(hook: Callable[[str], None]) -> None:
 def clear_yield_hook() -> None:
     global _yield_hook
     _yield_hook = None
+
+
+def cas_main(inode: Any, expect: Any, update: Any) -> bool:
+    """Atomically set ``inode.main`` to ``update`` iff it *is* ``expect``."""
+    if _yield_hook is not None:
+        _yield_hook("compare_and_set")
+    with _cas_lock:
+        if inode.main is expect:
+            inode.main = update
+            return True
+        return False
+
+
+def cas_prev(node: Any, expect: Any, update: Any) -> bool:
+    """Atomically set ``node.prev`` to ``update`` iff it *is* ``expect``."""
+    if _yield_hook is not None:
+        _yield_hook("compare_and_set")
+    with _cas_lock:
+        if node.prev is expect:
+            node.prev = update
+            return True
+        return False
 
 
 class AtomicReference:

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.ctrie.atomic import AtomicReference
+from repro.ctrie import atomic as _atomic
+from repro.ctrie.atomic import AtomicReference, cas_main, cas_prev
 from repro.ctrie.nodes import (
     RESTART,
     W,
@@ -74,52 +75,56 @@ class CTrie:
         self._root = AtomicReference(root)
         self._readonly = readonly
 
-    # ------------------------------------------------------------------
-    # Hashing
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _hash(key: Any) -> int:
-        return portable_hash(key)
+    #: Key hashing, overridable per class (tests force collisions).
+    _hash = staticmethod(portable_hash)
 
     # ------------------------------------------------------------------
     # GCAS
     # ------------------------------------------------------------------
 
     def gcas_read(self, inode: INode) -> MainNode:
-        main = inode.main.get()
-        if main is not None and main.prev.get() is not None:
+        """The committed main node of ``inode``.
+
+        The common case is two slot reads: a main node whose ``prev``
+        is None is committed. The traversal loops below inline exactly
+        this, so the yield hook fires once per INode visited there too.
+        """
+        if _atomic._yield_hook is not None:
+            _atomic._yield_hook("get")
+        main = inode.main
+        if main.prev is not None:
             return self._gcas_complete(inode, main)
         return main
 
-    def _gcas_complete(self, inode: INode, main: MainNode | None) -> MainNode:
+    def _gcas_complete(self, inode: INode, main: MainNode) -> MainNode:
         while True:
-            if main is None:
-                return None  # type: ignore[return-value]
-            prev = main.prev.get()
+            if _atomic._yield_hook is not None:
+                _atomic._yield_hook("get")
+            prev = main.prev
             if prev is None:
                 return main
             root = self._rdcss_read_root(abort=True)
-            if isinstance(prev, FailedNode):
+            if prev.__class__ is FailedNode:
                 # A failed commit: roll the INode back to the old main.
-                if inode.main.compare_and_set(main, prev.wrapped):
+                if cas_main(inode, main, prev.wrapped):
                     return prev.wrapped
-                main = inode.main.get()
+                main = inode.main
                 continue
             if root.gen is inode.gen and not self._readonly:
                 # Still in the current generation: try to commit.
-                if main.prev.compare_and_set(prev, None):
+                if cas_prev(main, prev, None):
                     return main
                 continue
             # Generation moved on (a snapshot happened): fail the write.
-            main.prev.compare_and_set(prev, FailedNode(prev))
-            main = inode.main.get()
+            cas_prev(main, prev, FailedNode(prev))
+            main = inode.main
 
     def _gcas(self, inode: INode, old: MainNode, new: MainNode) -> bool:
-        new.prev.set(old)
-        if inode.main.compare_and_set(old, new):
+        # ``new`` is private until the CAS below publishes it.
+        new.prev = old
+        if cas_main(inode, old, new):
             self._gcas_complete(inode, new)
-            return new.prev.get() is None
+            return new.prev is None
         return False
 
     # ------------------------------------------------------------------
@@ -177,57 +182,75 @@ class CTrie:
             insert(key, value)
         return trie
 
-    def insert(self, key: Any, value: Any) -> None:
-        """Insert or overwrite ``key``."""
+    def insert(self, key: Any, value: Any, default: Any = None) -> Any:
+        """Insert or overwrite ``key``; returns the value it replaced
+        (``default`` when the key was absent) — an upsert in a single
+        traversal, which is what lets an append thread a backward chain
+        without a separate lookup."""
         if self._readonly:
             raise ConcurrencyError("cannot insert into a read-only snapshot")
         h = self._hash(key)
         while True:
             root = self._rdcss_read_root()
-            if self._iinsert(root, key, value, h, 0, None, root.gen):
-                return
+            replaced = self._iinsert(root, key, value, h, root.gen)
+            if replaced is not RESTART:
+                return default if replaced is _NO_VALUE else replaced
 
     def _iinsert(
-        self,
-        inode: INode,
-        key: Any,
-        value: Any,
-        h: int,
-        level: int,
-        parent: INode | None,
-        startgen: Gen,
-    ) -> bool:
-        main = self.gcas_read(inode)
-        if isinstance(main, CNode):
-            flag, pos = flag_pos(h, level, main.bitmap)
-            if (main.bitmap & flag) == 0:
-                renewed = main if main.gen is startgen else main.renewed(startgen, self)
-                new = renewed.inserted_at(pos, flag, SNode(key, value, h), startgen)
-                return self._gcas(inode, main, new)
-            child = main.array[pos]
-            if isinstance(child, INode):
-                if startgen is child.gen:
-                    return self._iinsert(child, key, value, h, level + W, inode, startgen)
-                if self._gcas(inode, main, main.renewed(startgen, self)):
-                    return self._iinsert(inode, key, value, h, level, parent, startgen)
-                return False
-            # SNode collision
-            if child.hash == h and child.key == key:
-                renewed = main if main.gen is startgen else main.renewed(startgen, self)
-                return self._gcas(
-                    inode, main, renewed.updated_at(pos, SNode(key, value, h), startgen)
+        self, inode: INode, key: Any, value: Any, h: int, startgen: Gen
+    ) -> Any:
+        """Returns the replaced value, ``_NO_VALUE``, or ``RESTART``."""
+        level = 0
+        parent: INode | None = None
+        while True:
+            if _atomic._yield_hook is not None:
+                _atomic._yield_hook("get")
+            main = inode.main
+            if main.prev is not None:
+                main = self._gcas_complete(inode, main)
+            if main.__class__ is CNode:
+                bitmap = main.bitmap
+                flag = 1 << ((h >> level) & 0x1F)
+                pos = (bitmap & (flag - 1)).bit_count()
+                child = main.array[pos] if bitmap & flag else None
+                if child.__class__ is INode:
+                    if child.gen is startgen:
+                        parent, inode = inode, child
+                        level += W
+                        continue
+                    if self._gcas(inode, main, main.renewed(startgen, self)):
+                        continue
+                    return RESTART
+                # The update lands in this CNode: build its successor in
+                # one step, renewing the children on the way if the node
+                # predates the current generation.
+                children = (
+                    list(main.array)
+                    if main.gen is startgen
+                    else main.renewed_children(startgen, self)
                 )
-            renewed = main if main.gen is startgen else main.renewed(startgen, self)
-            grown = INode(
-                dual(child.copy(), SNode(key, value, h), level + W, startgen), startgen
-            )
-            return self._gcas(inode, main, renewed.updated_at(pos, grown, startgen))
-        if isinstance(main, TNode):
-            self._clean(parent, level - W)
-            return False
-        if isinstance(main, LNode):
-            return self._gcas(inode, main, main.inserted(key, value))
-        raise ConcurrencyError(f"unexpected main node {main!r}")
+                replaced = _NO_VALUE
+                if child is None:
+                    children.insert(pos, SNode(key, value, h))
+                elif child.hash == h and child.key == key:
+                    replaced = child.value
+                    children[pos] = SNode(key, value, h)
+                else:
+                    children[pos] = INode(
+                        dual(child, SNode(key, value, h), level + W, startgen),
+                        startgen,
+                    )
+                new = CNode(bitmap | flag, tuple(children), startgen)
+                return replaced if self._gcas(inode, main, new) else RESTART
+            if main.__class__ is TNode:
+                self._clean(parent, level - W)
+                return RESTART
+            if main.__class__ is LNode:
+                replaced = main.get(key)
+                if self._gcas(inode, main, main.inserted(key, value)):
+                    return replaced
+                return RESTART
+            raise ConcurrencyError(f"unexpected main node {main!r}")
 
     # ------------------------------------------------------------------
     # Lookup
@@ -238,44 +261,49 @@ class CTrie:
         h = self._hash(key)
         while True:
             root = self._rdcss_read_root()
-            result = self._ilookup(root, key, h, 0, None, root.gen)
+            result = self._ilookup(root, key, h, root.gen)
             if result is not RESTART:
                 return default if result is _NO_VALUE else result
 
-    def _ilookup(
-        self,
-        inode: INode,
-        key: Any,
-        h: int,
-        level: int,
-        parent: INode | None,
-        startgen: Gen,
-    ) -> Any:
-        main = self.gcas_read(inode)
-        if isinstance(main, CNode):
-            flag, pos = flag_pos(h, level, main.bitmap)
-            if (main.bitmap & flag) == 0:
+    def _ilookup(self, inode: INode, key: Any, h: int, startgen: Gen) -> Any:
+        readonly = self._readonly
+        level = 0
+        parent: INode | None = None
+        while True:
+            if _atomic._yield_hook is not None:
+                _atomic._yield_hook("get")
+            main = inode.main
+            if main.prev is not None:
+                main = self._gcas_complete(inode, main)
+            if main.__class__ is CNode:
+                bitmap = main.bitmap
+                flag = 1 << ((h >> level) & 0x1F)
+                if not bitmap & flag:
+                    return _NO_VALUE
+                child = main.array[(bitmap & (flag - 1)).bit_count()]
+                if child.__class__ is INode:
+                    # A read-only snapshot never renews: its nodes all
+                    # predate the generation the live trie moved to.
+                    if readonly or child.gen is startgen:
+                        parent, inode = inode, child
+                        level += W
+                        continue
+                    if self._gcas(inode, main, main.renewed(startgen, self)):
+                        continue
+                    return RESTART
+                if child.hash == h and child.key == key:
+                    return child.value
                 return _NO_VALUE
-            child = main.array[pos]
-            if isinstance(child, INode):
-                if self._readonly or startgen is child.gen:
-                    return self._ilookup(child, key, h, level + W, inode, startgen)
-                if self._gcas(inode, main, main.renewed(startgen, self)):
-                    return self._ilookup(inode, key, h, level, parent, startgen)
+            if main.__class__ is TNode:
+                if readonly:
+                    if main.hash == h and main.key == key:
+                        return main.value
+                    return _NO_VALUE
+                self._clean(parent, level - W)
                 return RESTART
-            if child.hash == h and child.key == key:
-                return child.value
-            return _NO_VALUE
-        if isinstance(main, TNode):
-            if self._readonly:
-                if main.hash == h and main.key == key:
-                    return main.value
-                return _NO_VALUE
-            self._clean(parent, level - W)
-            return RESTART
-        if isinstance(main, LNode):
-            return main.get(key)
-        raise ConcurrencyError(f"unexpected main node {main!r}")
+            if main.__class__ is LNode:
+                return main.get(key)
+            raise ConcurrencyError(f"unexpected main node {main!r}")
 
     # ------------------------------------------------------------------
     # Remove
@@ -392,8 +420,8 @@ class CTrie:
         while True:
             root = self._rdcss_read_root()
             expected = self.gcas_read(root)
-            if self._rdcss_root(root, expected, root.copy_to_gen(Gen(), expected)):
-                return CTrie(root=root.copy_to_gen(Gen(), expected))
+            if self._rdcss_root(root, expected, INode(expected, Gen())):
+                return CTrie(root=INode(expected, Gen()))
 
     def readonly_snapshot(self) -> "CTrie":
         """O(1) *read-only* snapshot (cheaper reads: no renew on path)."""
@@ -402,7 +430,7 @@ class CTrie:
         while True:
             root = self._rdcss_read_root()
             expected = self.gcas_read(root)
-            if self._rdcss_root(root, expected, root.copy_to_gen(Gen(), expected)):
+            if self._rdcss_root(root, expected, INode(expected, Gen())):
                 return CTrie(root=root, readonly=True)
 
     @property

@@ -3,8 +3,8 @@
 The structure follows the reference Scala implementation
 (``scala.collection.concurrent.TrieMap``):
 
-* an :class:`INode` is an *indirection* node whose ``main`` pointer is
-  updated with GCAS; it carries the generation it was created in;
+* an :class:`INode` is an *indirection* node whose ``main`` slot is
+  swung by GCAS; it carries the generation it was created in;
 * a :class:`CNode` is a branch: a 32-bit bitmap plus a dense array of
   children (either :class:`SNode` leaves or nested :class:`INode`\\ s);
 * an :class:`SNode` is a key/value leaf;
@@ -18,13 +18,20 @@ Generations (:class:`Gen`) are plain marker objects: a snapshot stamps
 a fresh generation on the root, and writers copy any node of an older
 generation before mutating beneath it — the copy-on-write that makes
 snapshots O(1).
+
+Every node is **one object**: ``INode.main`` and ``MainNode.prev`` are
+plain ``__slots__`` entries, read directly and swung by
+:func:`repro.ctrie.atomic.cas_main` / :func:`~repro.ctrie.atomic.cas_prev`
+under the module's single CAS lock. A renewal copies up to 32 INodes
+per level per snapshot, so what a node costs to allocate, track and
+free is what an append after a snapshot costs.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
 
-from repro.ctrie.atomic import AtomicReference
+from repro.ctrie import atomic as _atomic
 
 #: Branching factor 2**W = 32 children per level.
 W = 5
@@ -45,13 +52,11 @@ class MainNode:
     """Base for nodes an INode's ``main`` pointer can reference.
 
     ``prev`` carries GCAS bookkeeping: a non-None value means the node
-    is not yet committed (or has failed and must roll back).
+    is not yet committed (or has failed and must roll back). Every
+    subclass constructor sets it (to None, except :class:`FailedNode`).
     """
 
     __slots__ = ("prev",)
-
-    def __init__(self) -> None:
-        self.prev = AtomicReference(None)
 
 
 class FailedNode(MainNode):
@@ -60,9 +65,8 @@ class FailedNode(MainNode):
     __slots__ = ("wrapped",)
 
     def __init__(self, wrapped: MainNode):
-        super().__init__()
         self.wrapped = wrapped
-        self.prev.set(wrapped)
+        self.prev = wrapped
 
 
 class SNode:
@@ -75,9 +79,6 @@ class SNode:
         self.value = value
         self.hash = hash_
 
-    def copy(self) -> "SNode":
-        return SNode(self.key, self.value, self.hash)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SNode({self.key!r}={self.value!r})"
 
@@ -88,7 +89,7 @@ class TNode(MainNode):
     __slots__ = ("key", "value", "hash")
 
     def __init__(self, key: Any, value: Any, hash_: int):
-        super().__init__()
+        self.prev = None
         self.key = key
         self.value = value
         self.hash = hash_
@@ -106,7 +107,7 @@ class LNode(MainNode):
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[tuple[Any, Any]]):
-        super().__init__()
+        self.prev = None
         self.entries = tuple(entries)
 
     def inserted(self, key: Any, value: Any) -> "LNode":
@@ -135,13 +136,9 @@ class INode:
 
     __slots__ = ("main", "gen")
 
-    def __init__(self, main: MainNode | None, gen: Gen):
-        self.main = AtomicReference(main)
+    def __init__(self, main: MainNode, gen: Gen):
+        self.main = main
         self.gen = gen
-
-    def copy_to_gen(self, gen: Gen, main: MainNode) -> "INode":
-        """A fresh INode in ``gen`` sharing the (committed) main node."""
-        return INode(main, gen)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"INode(gen={self.gen!r})"
@@ -153,17 +150,12 @@ class CNode(MainNode):
     __slots__ = ("bitmap", "array", "gen")
 
     def __init__(self, bitmap: int, array: Sequence[Any], gen: Gen):
-        super().__init__()
+        self.prev = None
         self.bitmap = bitmap
-        self.array = tuple(array)
+        self.array = array if array.__class__ is tuple else tuple(array)
         self.gen = gen
 
     # -- structural updates (all return new CNodes) ---------------------
-
-    def inserted_at(self, pos: int, flag: int, branch: Any, gen: Gen) -> "CNode":
-        arr = list(self.array)
-        arr.insert(pos, branch)
-        return CNode(self.bitmap | flag, arr, gen)
 
     def updated_at(self, pos: int, branch: Any, gen: Gen) -> "CNode":
         arr = list(self.array)
@@ -175,17 +167,33 @@ class CNode(MainNode):
         del arr[pos]
         return CNode(self.bitmap & ~flag, arr, gen)
 
+    def renewed_children(self, gen: Gen, trie: Any) -> list:
+        """This node's children with every INode copied into ``gen`` —
+        the copy-on-write step of the snapshot algorithm, as a list the
+        caller may still edit before freezing it into a CNode.
+
+        One pass: a child whose main node is committed (``prev`` is
+        None — every child, unless a GCAS is in flight on it) is copied
+        from the slot it was just read from; anything else, and every
+        child while an interleaving hook is installed, goes through
+        ``trie.gcas_read`` as the algorithm prescribes.
+        """
+        direct = _atomic._yield_hook is None
+        return [
+            INode(
+                main
+                if direct and (main := child.main).prev is None
+                else trie.gcas_read(child),
+                gen,
+            )
+            if child.__class__ is INode
+            else child
+            for child in self.array
+        ]
+
     def renewed(self, gen: Gen, trie: Any) -> "CNode":
-        """Copy this CNode into ``gen``, copying INode children too —
-        the copy-on-write step of the snapshot algorithm."""
-        arr = []
-        for child in self.array:
-            if isinstance(child, INode):
-                main = trie.gcas_read(child)
-                arr.append(child.copy_to_gen(gen, main))
-            else:
-                arr.append(child)
-        return CNode(self.bitmap, arr, gen)
+        """Copy this CNode into ``gen``, copying INode children too."""
+        return CNode(self.bitmap, tuple(self.renewed_children(gen, trie)), gen)
 
     # -- compression -----------------------------------------------------
 

@@ -124,6 +124,36 @@ class ScannableLeaf(LogicalPlan):
         raise NotImplementedError
 
 
+class VersionedLeaf(ScannableLeaf):
+    """A leaf over one version of a store that mints a version per update.
+
+    Everything :mod:`repro.sql.plan_cache` knows about such leaves: two
+    queries of one shape against two versions of one store share a plan
+    template, and reusing it means putting the incoming leaf's version
+    under the template's attribute ids.
+    """
+
+    def cache_token(self) -> "tuple[Any, Any, int]":
+        """``(store, layout, version)``.
+
+        ``store`` identifies the versioned store for as long as the
+        process lives (never reused, so it needs no pinning); ``layout``
+        is whatever else about the scan an optimizer rule could depend
+        on — everything but the rows; ``version`` orders the versions
+        of that store, later ones larger.
+        """
+        raise NotImplementedError
+
+    def rebind(self, source: "VersionedLeaf | None") -> "VersionedLeaf":
+        """This leaf — same attribute ids — over ``source``'s version.
+
+        ``None`` unbinds: the result reads nothing and keeps nothing
+        alive; it only stands in a cached template until the next
+        ``rebind``.
+        """
+        raise NotImplementedError
+
+
 class Relation(LogicalPlan):
     """Leaf scanning an in-memory relation.
 

@@ -15,6 +15,17 @@ All optimizer rules are functional — a rule that changes nothing
 returns the same object, and rewrites build new trees — so a cached
 template is never mutated by reuse.
 
+Versions are parameters too. A :class:`~repro.sql.logical.VersionedLeaf`
+(the Indexed DataFrame's scan) fingerprints by its ``cache_token()`` —
+which store, and what about the scan besides its rows a rule could
+depend on — *not* by the version it reads, so the query that follows
+an append finds the template its predecessor left. The template is
+stored **unbound** (``leaf.rebind(None)``): it holds no version, and a
+hit rebinds every leaf, by position in the fingerprint walk, to the
+incoming leaf's version while keeping the template's attribute ids.
+A self-join of an old and a new handle of one store therefore gets
+each side its own version.
+
 Soundness of slot masking:
 
 * Only a :class:`~repro.sql.expressions.Literal` that is the *direct
@@ -33,10 +44,18 @@ Soundness of slot masking:
   a comparison that folded away — demote to exact-match slots, which
   hit only when the incoming value equals the cached one.
 
-Relation leaves key by object identity (the cached template keeps them
-alive, so ids cannot be recycled while the entry lives), and MVCC
-versions key by ``version_id`` — an append moves the version and
-naturally misses, so a stale index-era template is never replayed.
+Plain relation leaves key by object identity (the cached template
+keeps them alive, so ids cannot be recycled while the entry lives).
+
+The *full-plan* level — the extensions batch included — is different:
+an index rewrite reads the version (chain-length estimates, bitmap
+views), so its key adds every leaf's version and a hit is verbatim.
+Such an entry does hold its versions; it is dropped as soon as the
+store moves on — :meth:`PlanCache.supersede`, called by whoever mints
+the next version, or failing that the first plan cached over a newer
+one — and a plan over an already superseded version (an old handle,
+still perfectly usable) is not cached at all. The cache thus never
+keeps more than the newest version it has seen of any store alive.
 """
 
 from __future__ import annotations
@@ -51,17 +70,20 @@ from repro.sql.expressions import (
     Expression,
     Literal,
 )
-from repro.sql.logical import LogicalPlan
+from repro.sql.logical import LogicalPlan, VersionedLeaf
 from repro.sql.relation import BaseRelation
 
 
-class _FingerprintState:
-    """Accumulator threaded through one fingerprint walk."""
+class Fingerprint:
+    """What one walk of an analyzed plan yields (and accumulates in)."""
 
-    __slots__ = ("slots", "pins", "_expr_ids")
+    __slots__ = ("key", "slots", "leaves", "tokens", "pins", "_expr_ids")
 
     def __init__(self) -> None:
+        self.key: Any = None
         self.slots: list[Literal] = []  # eligible literals, walk order
+        self.leaves: list[VersionedLeaf] = []  # versioned leaves, walk order
+        self.tokens: list[tuple] = []  # their cache_token(), aligned
         self.pins: list[Any] = []  # identity-keyed leaves (keep alive)
         self._expr_ids: dict[int, int] = {}  # expr_id -> first-seen index
 
@@ -98,7 +120,7 @@ def _node_attrs(node: Any) -> list[tuple[str, Any]]:
     )
 
 
-def _walk_value(value: Any, state: _FingerprintState) -> Any:
+def _walk_value(value: Any, state: Fingerprint) -> Any:
     if isinstance(value, Expression):
         return _walk_expr(value, state, slot_ok=False)
     if isinstance(value, LogicalPlan):
@@ -108,9 +130,6 @@ def _walk_value(value: Any, state: _FingerprintState) -> Any:
     if isinstance(value, BaseRelation):
         state.pins.append(value)
         return ("rel", id(value))
-    version_id = getattr(value, "version_id", None)
-    if version_id is not None and type(value).__name__ == "Version":
-        return ("ver", version_id)
     if type(value).__module__ == "repro.sql.types":
         return _scalar_token(value)  # DataTypes compare (and repr) by value
     if type(value).__module__.startswith("repro."):
@@ -121,7 +140,7 @@ def _walk_value(value: Any, state: _FingerprintState) -> Any:
     return _scalar_token(value)
 
 
-def _walk_expr(expr: Expression, state: _FingerprintState, slot_ok: bool) -> Any:
+def _walk_expr(expr: Expression, state: Fingerprint, slot_ok: bool) -> Any:
     if isinstance(expr, Literal):
         if slot_ok:
             state.slots.append(expr)
@@ -163,7 +182,17 @@ def _walk_expr(expr: Expression, state: _FingerprintState, slot_ok: bool) -> Any
     return ("e", type(expr).__name__, walked_children, extras)
 
 
-def _walk_plan(plan: LogicalPlan, state: _FingerprintState) -> Any:
+def _walk_plan(plan: LogicalPlan, state: Fingerprint) -> Any:
+    if isinstance(plan, VersionedLeaf):
+        token = plan.cache_token()
+        state.leaves.append(plan)
+        state.tokens.append(token)
+        return (
+            "leaf",
+            type(plan).__name__,
+            token[:2],  # store and layout; the version is a parameter
+            tuple(_walk_expr(a, state, slot_ok=False) for a in plan.output()),
+        )
     walked_children = tuple(_walk_plan(c, state) for c in plan.children)
     extras = tuple(
         (name, _walk_value(value, state))
@@ -177,36 +206,62 @@ def _walk_plan(plan: LogicalPlan, state: _FingerprintState) -> Any:
     return ("p", type(plan).__name__, walked_children, extras)
 
 
-def fingerprint(plan: LogicalPlan) -> tuple[Any, list[Literal], list[Any]]:
-    """Returns ``(key, slot_literals, pinned_objects)`` for a plan."""
-    state = _FingerprintState()
-    key = _walk_plan(plan, state)
-    return key, state.slots, state.pins
+def fingerprint(plan: LogicalPlan) -> Fingerprint:
+    state = Fingerprint()
+    state.key = _walk_plan(plan, state)
+    return state
 
 
-def _substitute_by_identity(
-    plan: LogicalPlan, mapping: dict[int, Literal]
+def _instantiate(
+    plan: LogicalPlan,
+    literals: dict[int, Literal],
+    leaves: dict[int, LogicalPlan],
 ) -> LogicalPlan:
-    """Functional rewrite replacing template literals (by id) with the
-    incoming query's literals; the template itself is untouched."""
+    """Functional rewrite replacing template literals and leaves (both
+    by id) with the given ones; the template itself is untouched."""
 
     def sub(expr: Expression) -> Expression:
-        replacement = mapping.get(id(expr))
-        return expr if replacement is None else replacement
+        return literals.get(id(expr), expr)
 
-    return plan.transform_expressions(sub)
+    def rewrite(node: LogicalPlan) -> LogicalPlan:
+        leaf = leaves.get(id(node))
+        if leaf is not None:
+            return leaf
+        if literals:
+            return node.map_expressions(lambda e: e.transform_up(sub))
+        return node
+
+    return plan.transform_up(rewrite)
+
+
+def _is_versioned(plan: LogicalPlan) -> bool:
+    return isinstance(plan, VersionedLeaf)
 
 
 class _Entry:
-    __slots__ = ("template", "specs", "pins")
+    __slots__ = ("plan", "specs", "leaves", "held", "pins")
 
-    def __init__(self, template: LogicalPlan, specs: list[tuple], pins: list[Any]):
-        self.template = template
-        #: Per slot, aligned with the fingerprint's slot walk order:
-        #: ``("sub", template_literal)`` for identity-surviving slots,
-        #: ``("exact", value, dtype)`` for folded-away ones.
-        self.specs = specs
+    def __init__(
+        self,
+        plan: LogicalPlan,
+        pins: list[Any],
+        specs: list[tuple] = (),
+        leaves: list[VersionedLeaf] = (),
+        held: list[tuple[Any, int]] = (),
+    ):
+        self.plan = plan
         self.pins = pins
+        #: Template level. Per slot, aligned with the fingerprint's slot
+        #: walk order: ``("sub", template_literal)`` for
+        #: identity-surviving slots, ``("exact", value, dtype)`` for
+        #: folded-away ones.
+        self.specs = specs
+        #: Template level. The plan's unbound leaves, aligned with the
+        #: fingerprint's leaf walk order.
+        self.leaves = leaves
+        #: Full level. ``(store, version)`` of every version the plan
+        #: holds.
+        self.held = held
 
 
 class PlanCache:
@@ -222,13 +277,14 @@ class PlanCache:
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Any, _Entry]" = OrderedDict()  # guarded-by: _lock
         #: Fully-optimized plans (extensions batch included), keyed by
-        #: (template key, exact slot values). Extension rewrites bake
-        #: literal keys and MVCC versions into the tree, so these
-        #: entries are only reusable verbatim — and because Version
-        #: leaves fingerprint as ("ver", version_id), an append moves
-        #: the version and every full entry for the old version (its
-        #: bitmap-vs-cTrie era included) naturally misses.
+        #: (template key, exact slot values, exact versions). Extension
+        #: rewrites bake literal keys and MVCC versions into the tree,
+        #: so these entries are only reusable verbatim.
         self._full: "OrderedDict[Any, _Entry]" = OrderedDict()  # guarded-by: _lock
+        #: Newest version seen at the full level, per store: what
+        #: decides that a full entry is superseded. One int per store
+        #: this cache ever planned over.
+        self._newest: dict[Any, int] = {}  # guarded-by: _lock
 
     def __len__(self) -> int:
         with self._lock:
@@ -242,58 +298,87 @@ class PlanCache:
         with self._lock:
             self._entries.clear()
             self._full.clear()
+            self._newest.clear()
 
     @staticmethod
-    def _full_key(key: Any, slots: list[Literal]) -> Any:
+    def _full_key(fp: Fingerprint) -> Any:
         return (
-            key,
-            tuple(
-                (_scalar_token(s.value), _scalar_token(s.dtype)) for s in slots
-            ),
+            fp.key,
+            tuple((_scalar_token(s.value), _scalar_token(s.dtype)) for s in fp.slots),
+            tuple(token[2] for token in fp.tokens),
         )
 
-    def lookup_full(self, key: Any, slots: list[Literal]) -> LogicalPlan | None:
-        """A fully-optimized plan for this exact (shape, values) pair.
+    def lookup_full(self, fp: Fingerprint) -> LogicalPlan | None:
+        """A fully-optimized plan for this exact (shape, values,
+        versions) triple.
 
         No substitution happens here: a full entry already went through
-        the extensions batch, which bakes slot values in (an IN-list of
-        cTrie keys, a costed bitmap choice), so only an exact value
-        match may reuse it.
+        the extensions batch, which bakes slot values and versions in
+        (an IN-list of cTrie keys, a chain-length estimate), so only an
+        exact match may reuse it.
         """
-        full_key = self._full_key(key, slots)
+        full_key = self._full_key(fp)
         with self._lock:
             entry = self._full.get(full_key)
             if entry is None:
                 return None
             self._full.move_to_end(full_key)
-            return entry.template
+            return entry.plan
 
-    def insert_full(
-        self,
-        key: Any,
-        slots: list[Literal],
-        pins: list[Any],
-        plan: LogicalPlan,
-    ) -> None:
+    def insert_full(self, fp: Fingerprint, plan: LogicalPlan) -> None:
         if self.capacity <= 0:
             return
-        entry = _Entry(plan, [], pins)
-        full_key = self._full_key(key, slots)
+        held = [(store, version) for store, _layout, version in fp.tokens]
+        entry = _Entry(plan, fp.pins, held=held)
+        full_key = self._full_key(fp)
         with self._lock:
+            newest = self._newest
+            if any(newest.get(store, version) > version for store, version in held):
+                return  # over a superseded version: caching would keep it alive
+            for store, version in held:
+                self._supersede_locked(store, version)
             self._full[full_key] = entry
             self._full.move_to_end(full_key)
             while len(self._full) > self.capacity:
                 self._full.popitem(last=False)
 
-    def lookup(self, key: Any, slots: list[Literal]) -> LogicalPlan | None:
+    def supersede(self, store: Any, version: int) -> None:
+        """``store`` has moved on to ``version``: drop every full plan
+        over an older one.
+
+        Whoever mints the version calls this, so that the plans go —
+        and with them the last references to the superseded version —
+        while the update is still being paid for, not inside the first
+        query after it. :meth:`insert_full` applies the same rule to
+        whatever reaches it unannounced.
+        """
+        with self._lock:
+            self._supersede_locked(store, version)
+
+    def _supersede_locked(self, store: Any, version: int) -> None:  # requires-lock: _lock
+        seen = self._newest.get(store)
+        if seen is not None and seen >= version:
+            return
+        self._newest[store] = version
+        if seen is None:
+            return
+        stale = [
+            key
+            for key, entry in self._full.items()
+            if any(s == store and v < version for s, v in entry.held)
+        ]
+        for key in stale:
+            del self._full[key]
+
+    def lookup(self, fp: Fingerprint) -> LogicalPlan | None:
         """A reusable optimized plan for this fingerprint, or ``None``."""
         with self._lock:
-            entry = self._entries.get(key)
+            entry = self._entries.get(fp.key)
             if entry is None:
                 return None
-            self._entries.move_to_end(key)
-        mapping: dict[int, Literal] = {}
-        for literal, spec in zip(slots, entry.specs):
+            self._entries.move_to_end(fp.key)
+        literals: dict[int, Literal] = {}
+        for literal, spec in zip(fp.slots, entry.specs):
             if spec[0] == "exact":
                 _, value, dtype = spec
                 if literal.value != value or literal.dtype != dtype:
@@ -301,36 +386,48 @@ class PlanCache:
             else:
                 template_literal = spec[1]
                 if template_literal.value != literal.value:
-                    mapping[id(template_literal)] = literal
-        if not mapping:
-            return entry.template
-        return _substitute_by_identity(entry.template, mapping)
+                    literals[id(template_literal)] = literal
+        leaves: dict[int, LogicalPlan] = {}
+        for template_leaf, leaf, token in zip(entry.leaves, fp.leaves, fp.tokens):
+            bound = leaves.get(id(template_leaf))
+            if bound is None:
+                leaves[id(template_leaf)] = template_leaf.rebind(leaf)
+            elif bound.cache_token() != token:
+                return None  # one template leaf, two versions: not this shape
+        if not literals and not leaves:
+            return entry.plan
+        return _instantiate(entry.plan, literals, leaves)
 
-    def insert(
-        self,
-        key: Any,
-        slots: list[Literal],
-        pins: list[Any],
-        template: LogicalPlan,
-    ) -> None:
+    def insert(self, fp: Fingerprint, template: LogicalPlan) -> None:
         if self.capacity <= 0:
             return
+        unbound = {id(leaf): leaf.rebind(None) for leaf in fp.leaves}
+        if unbound:
+            template = _instantiate(template, {}, unbound)
+            ours = {id(leaf) for leaf in unbound.values()}
+            if any(id(leaf) not in ours for leaf in template.collect_plans(_is_versioned)):
+                # A rule replaced a versioned leaf with one of its own
+                # making: it cannot be rebound by identity, so this
+                # shape is optimized afresh every time.
+                return
         survivors = {id(node) for node in _collect_literals(template)}
         counts: dict[int, int] = {}
-        for literal in slots:
+        for literal in fp.slots:
             counts[id(literal)] = counts.get(id(literal), 0) + 1
         specs: list[tuple] = []
-        for literal in slots:
+        for literal in fp.slots:
             # A literal object shared between two slots cannot be
             # substituted per-slot; demote every occurrence to exact.
             if counts[id(literal)] == 1 and id(literal) in survivors:
                 specs.append(("sub", literal))
             else:
                 specs.append(("exact", literal.value, literal.dtype))
-        entry = _Entry(template, specs, pins)
+        entry = _Entry(
+            template, fp.pins, specs, [unbound[id(leaf)] for leaf in fp.leaves]
+        )
         with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
+            self._entries[fp.key] = entry
+            self._entries.move_to_end(fp.key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
@@ -348,4 +445,4 @@ def _collect_literals(plan: LogicalPlan):
             stack.extend(node.children)
 
 
-__all__ = ["PlanCache", "fingerprint"]
+__all__ = ["Fingerprint", "PlanCache", "fingerprint"]

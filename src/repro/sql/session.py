@@ -121,8 +121,10 @@ class Session:
         The plan cache keys on a fingerprint of the analyzed tree with
         comparison literals masked as parameter slots, so repeated
         query shapes (``id = ?``) skip the rule fixed-point entirely.
-        Extension rules always run fresh — they bake literal values and
-        MVCC versions into the plan (see :mod:`repro.sql.plan_cache`).
+        The versions of indexed leaves are parameters as well, so the
+        shape survives appends. Extension rules always run fresh — they
+        bake literal values and MVCC versions into the plan (see
+        :mod:`repro.sql.plan_cache`).
         """
         cache = self.plan_cache
         if cache is None:
@@ -130,26 +132,26 @@ class Session:
         from repro.sql.plan_cache import fingerprint
 
         metrics = self.ctx.scheduler.metrics
-        key, slots, pins = fingerprint(analyzed)
+        fp = fingerprint(analyzed)
         # Full-plan level: extension output (index rewrites with their
         # literal keys and MVCC versions baked in) memoized by exact
-        # (shape, values). Versions live in the fingerprint key, so an
-        # append invalidates by construction and a stale bitmap-vs-
-        # cTrie era plan is never replayed.
-        full = cache.lookup_full(key, slots)
+        # (shape, values, versions), so an append invalidates by
+        # construction and a stale bitmap-vs-cTrie era plan is never
+        # replayed.
+        full = cache.lookup_full(fp)
         if full is not None:
             metrics.bump("plan_cache_hits")
             metrics.bump("plan_cache_full_hits")
             return full
-        plan = cache.lookup(key, slots)
+        plan = cache.lookup(fp)
         if plan is None:
             metrics.bump("plan_cache_misses")
             plan = self.optimizer.optimize_standard(analyzed)
-            cache.insert(key, slots, pins, plan)
+            cache.insert(fp, plan)
         else:
             metrics.bump("plan_cache_hits")
         final = self.optimizer.run_extensions(plan)
-        cache.insert_full(key, slots, pins, final)
+        cache.insert_full(fp, final)
         return final
 
     # ------------------------------------------------------------------

@@ -74,7 +74,7 @@ class TestDispatchAgreement:
             from repro.core.relation import IndexedRelation
             from repro.core.rules import IndexLookup
 
-            relation = IndexedRelation(indexed, indexed.version)
+            relation = IndexedRelation(indexed.schema, indexed.key_ordinal, indexed.version)
             lookup = IndexLookup(relation, [1, 2, 3])
             # 240 rows over 60 distinct keys → chain length 4.
             assert lookup.estimated_rows() == 12

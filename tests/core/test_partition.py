@@ -96,6 +96,74 @@ class TestSnapshots:
             assert len(snap) == i + 1
 
 
+class TestSnapshotMemo:
+    """An untouched partition hands out its last snapshot again: no new
+    trie generation for the next writer to re-copy paths into."""
+
+    def test_same_snapshot_until_a_row_arrives(self, partition):
+        partition.append_many([(i, "x") for i in range(10)])
+        first = partition.snapshot()
+        assert partition.snapshot() is first
+        partition.append_many([])  # an empty batch changes nothing
+        assert partition.snapshot() is first
+        partition.append((3, "y"))
+        second = partition.snapshot()
+        assert second is not first
+        assert len(first) == 10 and len(second) == 11
+        assert [v for _k, v in first.lookup(3)] == ["x"]
+
+    def test_attaching_an_index_invalidates(self, partition):
+        partition.append((1, "a"))
+        first = partition.snapshot()
+        partition.attach_bitmap_index(1)
+        second = partition.snapshot()
+        assert second is not first and first.bitmaps is None and 1 in second.bitmaps
+
+    def test_memo_does_not_keep_the_snapshot_alive(self, partition):
+        import weakref
+
+        partition.append((1, "a"))
+        ref = weakref.ref(partition.snapshot())
+        assert ref() is None  # nobody held it: the partition does not either
+        assert partition.snapshot().lookup_head(1) == (1, "a")
+
+    def test_memo_hit_still_verifies_seals(self):
+        from repro.errors import SanitizerError
+
+        layout = PointerLayout.for_geometry(256, 64)
+        partition = IndexedPartition(SCHEMA, 0, layout, 256, 64, sanitizers=True)
+        partition.append_many([(i, "v" * 20) for i in range(30)])
+        assert partition.batches.num_batches > 1
+        held = partition.snapshot()
+        partition.batches.buffers[0][12] ^= 0xFF  # corrupt a sealed batch
+        with pytest.raises(SanitizerError):
+            partition.snapshot()
+        assert held is not None
+
+
+class TestAppendLocking:
+    def test_rows_are_encoded_before_the_lock_is_taken(self, partition, monkeypatch):
+        encode = partition.codec.encode
+        held_during_encode = []
+
+        def spying_encode(row):
+            held_during_encode.append(partition._append_lock.locked())
+            return encode(row)
+
+        monkeypatch.setattr(partition.codec, "encode", spying_encode)
+        partition.append_many([(i, "x") for i in range(5)])
+        partition.append((9, "y"))
+        assert held_during_encode == [False] * 6
+        assert partition.row_count == 6
+
+    def test_a_bad_row_stores_nothing(self, partition):
+        from repro.errors import ReproError
+
+        with pytest.raises((ReproError, TypeError, ValueError)):
+            partition.append_many([(1, "ok"), (2, "x" * 10_000)])
+        assert partition.row_count == 0 and list(partition.scan()) == []
+
+
 class TestConcurrency:
     def test_appends_race_snapshots(self, partition):
         errors = []

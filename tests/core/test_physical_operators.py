@@ -17,7 +17,7 @@ def world(indexed_session):
         [(i, f"t{i % 3}") for i in range(60)], SCHEMA
     )
     indexed = create_index(df, "id")
-    relation = IndexedRelation(indexed, indexed.version)
+    relation = IndexedRelation(indexed.schema, indexed.key_ordinal, indexed.version)
     return indexed_session, indexed, relation
 
 
@@ -63,7 +63,7 @@ class TestIndexLookupExec:
     def test_multi_version_chains_returned(self, indexed_session):
         df = indexed_session.create_dataframe([(1, "old")], SCHEMA)
         indexed = create_index(df, "id").append_rows([(1, "new")])
-        relation = IndexedRelation(indexed, indexed.version)
+        relation = IndexedRelation(indexed.schema, indexed.key_ordinal, indexed.version)
         lookup = IndexLookupExec(
             indexed_session.ctx, indexed.version, [1], relation.output()
         )

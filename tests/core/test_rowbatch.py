@@ -31,6 +31,17 @@ class TestAppendRead:
         assert prev == first
         assert bytes(payload) == b"v2"
 
+    def test_reserve_names_the_pointer_before_the_write(self):
+        manager = make_manager()
+        first = manager.append(b"v1")
+        reserved = manager.reserve(2)
+        assert manager.watermark() == (1, HEADER_SIZE + 2)  # nothing stored yet
+        manager.write(b"v2", first)
+        assert manager.read(reserved) == (first, memoryview(b"v2"))
+        assert manager.append(b"v3", reserved) == manager.layout.pack(
+            0, 2 * (HEADER_SIZE + 2), 2
+        )
+
     def test_batch_rollover(self):
         manager = make_manager(batch_size=1024)
         payload = b"x" * 100

@@ -29,19 +29,19 @@ def physical_of(df) -> str:
 
 class TestLookupRewrite:
     def test_equality_becomes_lookup(self, indexed):
-        relation = IndexedRelation(indexed, indexed.version)
+        relation = IndexedRelation(indexed.schema, indexed.key_ordinal, indexed.version)
         plan = Filter(EqualTo(relation.key_attribute, Literal(5)), relation)
         rewritten = index_lookup_rewrite(plan)
         assert isinstance(rewritten, IndexLookup)
         assert rewritten.keys == [5]
 
     def test_reversed_equality(self, indexed):
-        relation = IndexedRelation(indexed, indexed.version)
+        relation = IndexedRelation(indexed.schema, indexed.key_ordinal, indexed.version)
         plan = Filter(EqualTo(Literal(5), relation.key_attribute), relation)
         assert isinstance(index_lookup_rewrite(plan), IndexLookup)
 
     def test_in_list_becomes_multi_lookup(self, indexed):
-        relation = IndexedRelation(indexed, indexed.version)
+        relation = IndexedRelation(indexed.schema, indexed.key_ordinal, indexed.version)
         plan = Filter(
             In(relation.key_attribute, [Literal(1), Literal(2)]), relation
         )
@@ -50,7 +50,7 @@ class TestLookupRewrite:
         assert rewritten.keys == [1, 2]
 
     def test_residual_filter_kept(self, indexed):
-        relation = IndexedRelation(indexed, indexed.version)
+        relation = IndexedRelation(indexed.schema, indexed.key_ordinal, indexed.version)
         grp = relation.output()[1]
         condition = And(
             EqualTo(relation.key_attribute, Literal(5)),
@@ -62,13 +62,13 @@ class TestLookupRewrite:
         assert isinstance(rewritten.child, IndexLookup)
 
     def test_non_key_filter_untouched(self, indexed):
-        relation = IndexedRelation(indexed, indexed.version)
+        relation = IndexedRelation(indexed.schema, indexed.key_ordinal, indexed.version)
         grp = relation.output()[1]
         plan = Filter(EqualTo(grp, Literal(3)), relation)
         assert index_lookup_rewrite(plan) is plan
 
     def test_null_key_dropped(self, indexed):
-        relation = IndexedRelation(indexed, indexed.version)
+        relation = IndexedRelation(indexed.schema, indexed.key_ordinal, indexed.version)
         plan = Filter(EqualTo(relation.key_attribute, Literal(None)), relation)
         rewritten = index_lookup_rewrite(plan)
         assert isinstance(rewritten, IndexLookup)

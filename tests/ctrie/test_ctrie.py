@@ -30,6 +30,15 @@ class TestBasicOperations:
         assert trie["k"] == 2
         assert len(trie) == 1
 
+    def test_insert_returns_what_it_replaced(self):
+        trie = CTrie()
+        assert trie.insert("k", 1) is None
+        assert trie.insert("k", 2) == 1
+        assert trie.insert("k", 3, default="absent") == 2
+        assert trie.insert("other", 9, default="absent") == "absent"
+        snap = trie.snapshot()  # next write renews the path first
+        assert trie.insert("k", 4) == 3 and snap["k"] == 3
+
     def test_none_is_a_valid_value(self):
         trie = CTrie()
         trie.insert("k", None)

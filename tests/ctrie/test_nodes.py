@@ -35,13 +35,14 @@ class TestFlagPos:
 
 
 class TestCNodeUpdates:
-    def test_inserted_at(self):
-        gen = Gen()
-        node = CNode(0b1, [SNode("a", 1, 0)], gen)
-        grown = node.inserted_at(1, 0b10, SNode("b", 2, 1), gen)
-        assert grown.bitmap == 0b11
-        assert len(grown.array) == 2
-        assert len(node.array) == 1  # original untouched
+    def test_renewed_children_copies_inodes_only(self):
+        old, new = Gen(), Gen()
+        leaf, sub = SNode("a", 1, 0), INode(CNode(0, (), old), old)
+        node = CNode(0b11, [leaf, sub], old)
+        children = node.renewed_children(new, trie=None)  # committed mains: no trie call
+        assert children[0] is leaf
+        assert children[1] is not sub and children[1].gen is new
+        assert children[1].main is sub.main and sub.gen is old  # original untouched
 
     def test_updated_at(self):
         gen = Gen()

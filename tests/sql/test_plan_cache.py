@@ -228,3 +228,110 @@ class TestFullPlanLevel:
         assert len(s.plan_cache) == 1 and s.plan_cache.full_len() == 1
         s.plan_cache.clear()
         assert len(s.plan_cache) == 0 and s.plan_cache.full_len() == 0
+
+
+class TestVersionFreeTemplates:
+    """An indexed leaf keys the template level by store, not by version:
+    the query after an append reuses the template its predecessor left,
+    rebound — leaf by leaf — to the versions the new query reads."""
+
+    SCHEMA = [("id", "long"), ("kind", "string"), ("score", "long")]
+
+    @staticmethod
+    def rows(lo, hi):
+        return [(i, "abc"[i % 3], i * 2) for i in range(lo, hi)]
+
+    @staticmethod
+    def indexed(session, rows):
+        enable_indexing(session)
+        return session.create_dataframe(rows, TestVersionFreeTemplates.SCHEMA).create_index("id")
+
+    def test_template_hit_rate_across_appends(self):
+        with Session(small_config()) as s:
+            idf = self.indexed(s, self.rows(0, 40))
+            expected = self.rows(0, 40)
+            idf.get_rows(1).collect_tuples()  # the one miss that builds the template
+            hits0, misses0 = counters(s)
+            for cycle in range(50):
+                batch = self.rows(1000 + cycle, 1001 + cycle)
+                idf = idf.append_rows(batch)
+                expected += batch
+                assert idf.get_rows(batch[0][0]).collect_tuples() == batch
+                assert idf.get_rows(cycle % 40).collect_tuples() == [expected[cycle % 40]]
+            hits, misses = counters(s)
+            assert (hits - hits0) / (hits - hits0 + misses - misses0) >= 0.9
+            assert misses == misses0  # in fact every one of them hit
+
+    def test_differential_against_uncached_session_at_every_version(self):
+        shapes = [
+            "SELECT kind, score FROM it WHERE id = {a}",
+            "SELECT id FROM it WHERE score > {b} AND score <= {c}",
+            # IN lists are baked into the key by value: keep this one fixed
+            # (its answer still grows as 34, 41 and 50 get appended).
+            "SELECT id, kind FROM it WHERE id IN (7, 34, 41, 50)",
+            "SELECT kind, count(*), sum(score) AS total FROM it WHERE id > {a} GROUP BY kind",
+            "SELECT it.id, p.tag FROM it JOIN p ON it.id = p.pid WHERE p.tag <> 'x{a}'",
+        ]
+        with Session(small_config()) as cached, Session(small_config(plan_cache_size=0)) as plain:
+            handles = []
+            for s in (cached, plain):
+                handles.append(self.indexed(s, self.rows(0, 30)))
+                s.create_dataframe(
+                    [(k, f"x{k}") for k in (2, 3, 31, 35, 44)], [("pid", "long"), ("tag", "string")]
+                ).create_or_replace_temp_view("p")
+            hits0, misses0 = counters(cached)  # the bulk load planned a scan
+            for version in range(8):
+                lo = 30 + version * 3
+                for i, s in enumerate((cached, plain)):
+                    handles[i] = handles[i].append_rows(self.rows(lo, lo + 3))
+                    handles[i].create_or_replace_temp_view("it")
+                for text in shapes:
+                    q = text.format(a=version + 2, b=lo, c=lo + 40)
+                    assert sorted(cached.sql(q).collect_tuples()) == sorted(
+                        plain.sql(q).collect_tuples()
+                    ), q
+            hits, misses = counters(cached)
+            assert misses - misses0 == len(shapes) and hits - hits0 == 7 * len(shapes)
+            assert counters(plain) == (0, 0)
+
+    def test_self_join_of_old_and_new_handle_rebinds_positionally(self):
+        with Session(small_config()) as s:
+            old = self.indexed(s, self.rows(0, 10))
+            new = old.append_rows(self.rows(10, 12))
+
+            def pairs(left, right):
+                l, r = left.to_df(), right.to_df()
+                joined = l.join(r, on=l.col("id") == r.col("id"))
+                return sorted((t[0], t[3]) for t in joined.collect_tuples())
+
+            both_new = [(i, i) for i in range(12)]
+            # Two templates: a handle joined with itself (the analyzer
+            # re-instantiates the shared leaf) and two distinct handles.
+            assert pairs(new, new) == both_new
+            assert pairs(old, new) == [(i, i) for i in range(10)]
+            _, misses = counters(s)
+            # Same store on both sides, one shape, one template: each
+            # leaf must still read the version of the handle it came from.
+            assert pairs(new, old) == [(i, i) for i in range(10)]
+            assert pairs(old, old) == [(i, i) for i in range(10)]
+            newer = new.append_rows(self.rows(12, 13))
+            assert pairs(newer, new) == both_new
+            assert pairs(newer, newer) == both_new + [(12, 12)]
+            assert counters(s)[1] == misses  # all of them template hits
+
+    def test_attaching_a_bitmap_index_changes_the_template_key(self):
+        from repro.sql.plan_cache import fingerprint
+
+        with Session(small_config()) as s:
+            idf = self.indexed(s, self.rows(0, 30))
+            appended = idf.append_rows(self.rows(30, 31))
+            with_bitmap = appended.create_index("kind")
+
+            def key(handle):
+                return fingerprint(handle.get_rows(3).analyzed_plan()).key
+
+            assert key(idf) == key(appended)  # a version is not part of the key
+            assert key(appended) != key(with_bitmap)  # the index set is
+            assert key(with_bitmap) == key(with_bitmap.append_rows(self.rows(31, 32)))
+            other_store = self.indexed(s, self.rows(0, 30))
+            assert key(idf) != key(other_store)
