@@ -9,13 +9,12 @@ Measured shape (see EXPERIMENTS.md): growing the table 10x grows the
 dict's cycle cost ~30x but the cTrie's only ~4x. In CPython the dict
 copy is C-speed while cTrie copy-on-write is Python-object work, so
 the absolute crossover lies beyond laptop scale — the JVM original
-pays far smaller trie constants. The asymptotic assertion below is
-what the design argument rests on.
+pays far smaller trie constants. The asymptotic assertion the design
+argument rests on is ``test_ctrie_cycle_is_size_independent`` in
+``tests/ctrie/test_node_footprint.py``.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -57,28 +56,3 @@ def test_dict_copy_version_cycle(benchmark, size):
         return fresh
 
     benchmark.pedantic(cycle, rounds=20, warmup_rounds=2, iterations=1)
-
-
-def test_ctrie_cycle_is_size_independent():
-    """The design-choice assertion: cTrie version cycles must not grow
-    linearly with table size (dict copies do)."""
-
-    def best_cycle(trie: CTrie, base: int) -> float:
-        best = float("inf")
-        for round_ in range(30):
-            start = time.perf_counter()
-            for i in range(BATCH):
-                trie.insert(base + round_ * BATCH + i, i)
-            trie.readonly_snapshot()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    small = CTrie()
-    for i in range(5_000):
-        small.insert(i, i)
-    large = CTrie()
-    for i in range(200_000):
-        large.insert(i, i)
-
-    growth = best_cycle(large, 10**9) / max(best_cycle(small, 10**9), 1e-9)
-    assert growth < 8, f"version cycle grew {growth:.1f}x for 40x more data"

@@ -61,14 +61,3 @@ def test_indexed_join_over_probe_sizes(benchmark, setup, probe_size):
     assert matches == probe_size  # every probe key exists exactly once
 
     benchmark.pedantic(run, rounds=5, warmup_rounds=1, iterations=1)
-
-
-def test_broadcast_dispatch_boundary(setup):
-    """The physical plan switches mode exactly at the threshold."""
-    _session, indexed, probes = setup
-    small = probes[100]
-    large = probes[10_000]
-    small_join = indexed.join(small, on=indexed.col("id") == small.col("pid"))
-    large_join = indexed.join(large, on=indexed.col("id") == large.col("pid"))
-    assert "IndexedJoin" in small_join.explain()
-    assert "IndexedJoin" in large_join.explain()

@@ -57,26 +57,3 @@ def test_lookup_scaling(benchmark, tables, size, system):
     assert len(rows) == 1 and rows[0][0] == key
 
     benchmark.pedantic(fn, rounds=20, warmup_rounds=2, iterations=1)
-
-
-def test_lookup_is_sublinear(tables):
-    """Direct check: indexed lookup latency grows far slower than data."""
-    import time
-
-    def measure(fn, repeats=50):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    small_idx, _ = tables[SIZES[0]]
-    large_idx, _ = tables[SIZES[-1]]
-    small = measure(lambda: small_idx.get_rows_local(SIZES[0] // 2))
-    large = measure(lambda: large_idx.get_rows_local(SIZES[-1] // 2))
-    growth = large / max(small, 1e-9)
-    data_growth = SIZES[-1] / SIZES[0]
-    assert growth < data_growth / 4, (
-        f"lookup grew {growth:.1f}x for {data_growth:.0f}x more data"
-    )

@@ -16,8 +16,7 @@ Spark Queries on Updatable Data"* (Uta, Ghit, Dave, Boncz — SIGMOD
 * :mod:`repro.snb` — an LDBC SNB-style datagen, the 7 short-read
   queries, and update streams;
 * :mod:`repro.streaming` — a Kafka-like in-process broker and
-  micro-batch ingestion;
-* :mod:`repro.bench` — the harness regenerating the paper's figures.
+  micro-batch ingestion.
 
 Quickstart::
 

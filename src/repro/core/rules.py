@@ -263,12 +263,12 @@ def _bitmap_candidate(
     whole bitmaps is cheap, and the resulting popcount is an *exact*
     cost signal, not an estimate.
     """
-    if not getattr(planner.config, "bitmap_indexes_enabled", True):
+    if not planner.config.bitmap_indexes_enabled:
         return None
     snapshots = relation.version.snapshots
     if not snapshots:
         return None
-    per_part = [getattr(s, "bitmaps", None) or {} for s in snapshots]
+    per_part = [s.bitmaps or {} for s in snapshots]
     indexed = frozenset().union(*(views.keys() for views in per_part))
     if not indexed:
         return None

@@ -171,6 +171,24 @@ class TestHangEndToEnd:
         budget = config.heartbeat_timeout * (stats["hangs_injected"] + 2) + 5.0
         assert elapsed < budget, f"detection too slow: {elapsed:.1f}s"
 
+    def test_rpc_deadline_alone_catches_a_hang(self):
+        """Heartbeats off: the per-RPC deadline is the only detector, and
+        it must still fence every hang and return the exact multiset."""
+        config = dataclasses.replace(
+            _hang_config(), heartbeat_interval=0.0, rpc_deadline=0.5
+        )
+        with EngineContext(config) as ctx:
+            result = dict(
+                ctx.parallelize(DATA, 4)
+                .reduce_by_key(lambda a, b: a + b)
+                .collect()
+            )
+            stats = ctx.backend.stats()
+        assert result == EXPECTED
+        assert stats["hangs_injected"] > 0, "schedule never fired"
+        assert stats["rpc_timeouts"] >= stats["hangs_injected"]
+        assert stats["heartbeat_fences"] == 0
+
     def test_generation_bumps_per_fence(self):
         with EngineContext(_hang_config()) as ctx:
             ctx.parallelize(DATA, 4).reduce_by_key(lambda a, b: a + b).collect()

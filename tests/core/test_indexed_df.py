@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.core import create_index
+from repro.core import create_index, enable_indexing
+from repro.ctrie import atomic
 from repro.errors import IndexError_, SchemaError
 from repro.sql.functions import col
+from repro.sql.session import Session
+from tests.conftest import small_config
 
 SCHEMA = [("id", "long"), ("name", "string"), ("age", "long")]
 
@@ -159,3 +164,59 @@ class TestDataFrameInterop:
     def test_repr(self, indexed):
         text = repr(indexed)
         assert "key=id" in text and "rows=100" in text
+
+
+class TestPaperClaims:
+    """The title's latency claim and §1's "relatively low memory
+    overhead", asserted on counts and bytes rather than wall time
+    (ablations A2 and A4 time the same tables)."""
+
+    SIZES = (1_000, 50_000)
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        session = Session(small_config())
+        enable_indexing(session)
+        built = {
+            size: create_index(
+                session.create_dataframe(
+                    [(i, f"user{i}", i % 100) for i in range(size)],
+                    [("id", "long"), ("name", "string"), ("grp", "long")],
+                    validate=False,
+                ),
+                "id",
+            )
+            for size in self.SIZES
+        }
+        yield built
+        session.stop()
+
+    def test_lookup_is_sublinear(self, tables):
+        """Trie nodes read per ``get_rows_local`` grow with log32 of the
+        table, not with the table."""
+
+        def nodes_read(indexed, size: int) -> float:
+            keys = range(0, size, size // 100)
+            reads = []
+            atomic.install_yield_hook(reads.append)
+            try:
+                for key in keys:
+                    assert [row[0] for row in indexed.get_rows_local(key)] == [key]
+            finally:
+                atomic.clear_yield_hook()
+            return len(reads) / len(keys)
+
+        small, large = self.SIZES
+        growth = nodes_read(tables[large], large) - nodes_read(tables[small], small)
+        assert growth <= math.log(large / small, 32) + 1, (
+            f"a lookup reads {growth:.2f} more nodes for {large // small}x more data"
+        )
+
+    def test_memory_accounting(self, tables):
+        stats = tables[self.SIZES[-1]].memory_stats()
+        raw = stats["data_bytes"] - stats["header_bytes"]
+        overhead_ratio = (stats["header_bytes"] + stats["index_bytes"]) / raw
+        # The index + backward pointers must not dwarf the data itself
+        # (Python dict/trie overheads make this looser than the JVM
+        # original).
+        assert overhead_ratio < 4.0

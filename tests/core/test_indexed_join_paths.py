@@ -48,6 +48,29 @@ class TestDispatchAgreement:
         assert results[0] == results[1]
         assert len(results[0]) > 0
 
+    def test_broadcast_dispatch_boundary(self):
+        """The join switches mode exactly at the threshold: a probe of
+        ``broadcast_threshold`` rows streams into the index (no shuffle
+        stage), one more row shuffles (A5 times both sides)."""
+        threshold = 50
+        session, indexed, _probe = build_world(threshold)
+        metrics = session.ctx.scheduler.metrics
+        try:
+            stages = {}
+            for size in (threshold, threshold + 1):
+                probe = session.create_dataframe(
+                    [(i, i) for i in range(size)], PROBE_SCHEMA
+                ).cache()
+                joined = indexed.join(probe, on=indexed.col("id") == probe.col("pid"))
+                plan = joined.explain()
+                assert "IndexedJoin[" in plan and f"probe_est={size}]" in plan
+                before = metrics.snapshot()["stages"]
+                assert joined.count() == 4 * size  # 4 build rows per key
+                stages[size] = metrics.snapshot()["stages"] - before
+            assert stages[threshold + 1] == stages[threshold] + 1
+        finally:
+            session.stop()
+
     def test_duplicate_build_keys_multiply(self):
         session, indexed, _probe = build_world(10_000)
         try:

@@ -30,20 +30,11 @@ def test_quickstart_runs():
     assert "IndexedJoin" in out
 
 
-@pytest.mark.slow
-def test_snb_benchmark_runs_small():
-    out = run_example("snb_benchmark.py", "0.2", timeout=400)
-    assert "Figure 2" in out and "Figure 3" in out
-    assert "max speedup" in out
-
-
-@pytest.mark.slow
 def test_examples_exist_and_compile():
     for name in (
         "quickstart.py",
         "graph_monitoring.py",
         "threat_detection.py",
-        "snb_benchmark.py",
         "social_graph_analytics.py",
     ):
         path = os.path.join(EXAMPLES, name)
