@@ -162,7 +162,6 @@ class WorkerWalCache:
                 layout,
                 batch_size,
                 max_row,
-                zone_maps=config.zone_maps_enabled,
                 sanitizers=config.sanitizers_enabled,
             )
         else:
@@ -174,7 +173,6 @@ class WorkerWalCache:
                 batch_size,
                 max_row,
                 states[pindex],
-                zone_maps=config.zone_maps_enabled,
                 sanitizers=config.sanitizers_enabled,
             )
         shard = _Shard(store, partition, partition.snapshot().row_count)

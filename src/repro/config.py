@@ -16,6 +16,12 @@ depends on:
   (stand-in for the paper's 10-node cluster); ``0`` runs every task on
   the thread that submitted its job.
 
+There is one engine: zone maps on every indexed partition and relation
+scan, cost-based bitmap-index planning, and adaptive execution
+(reduce-partition coalescing, runtime broadcast replanning) are always
+on, so no knob rebuilds an older engine. Only ``codegen_enabled`` still
+selects between two execution paths.
+
 Fault tolerance adds a second family of knobs, mirroring Spark's
 ``spark.task.maxFailures`` / ``spark.speculation`` space: bounded task
 retries with exponential backoff, a per-stage deadline, speculative
@@ -172,26 +178,9 @@ class Config:
     #: compiled paths also fall back per-expression on any compile
     #: error, so disabling this is only needed for A/B measurement.
     codegen_enabled: bool = True
-    #: Maintain per-batch/per-partition zone maps (min/max, null count)
-    #: on indexed storage and relation scans, and let the planner skip
-    #: batches and partitions that provably cannot match a filter. Off
-    #: restores the scan-everything behavior bit for bit.
-    zone_maps_enabled: bool = True
-    #: Let the planner use updatable bitmap indexes (``create_index(...,
-    #: kind="bitmap")``) for analytical predicates: low-cardinality
-    #: equality, ranges, and AND/OR combinations compile to bitmap
-    #: intersections costed against the zone-map-pruned scan and the
-    #: cTrie lookup. Off restores the pre-bitmap plans bit for bit —
-    #: attached bitmap indexes are still maintained, just never chosen.
-    bitmap_indexes_enabled: bool = True
-    #: Runtime adaptivity over the DAG scheduler (the AQE analogue):
-    #: coalesce tiny reduce partitions from recorded map-output sizes
-    #: and replan shuffle joins into broadcast joins when the measured
-    #: build side fits under ``broadcast_threshold``. Off restores
-    #: static planning.
-    adaptive_enabled: bool = True
-    #: Target bytes per reduce partition when adaptive execution
-    #: coalesces small adjacent shuffle buckets.
+    #: Target bytes per reduce partition: once a map stage has recorded
+    #: its output sizes, the scheduler coalesces small adjacent shuffle
+    #: buckets up to this size (the AQE analogue, always on).
     target_reduce_bytes: int = 256 * 1024
     #: Runtime sanitizers (opt-in, for tests): sealed row batches and
     #: snapshot-shared zone maps become write-poisoned — any mutation
@@ -222,8 +211,8 @@ class Config:
     #: Poll interval of the background checkpointer thread.
     checkpoint_poll_s: float = 0.1
     #: Serving / resource governance: admission control, per-query
-    #: deadlines with cooperative cancellation, memory budgets, circuit
-    #: breakers, and deadline-driven degraded plans. Off by default —
+    #: deadlines with cooperative cancellation, memory budgets, and
+    #: circuit breakers. Off by default —
     #: with the flag off the engine never installs a query context and
     #: behaves bit-identically to a build without the subsystem.
     #: ``REPRO_SERVING=1`` flips the default on for a whole run.
@@ -254,16 +243,6 @@ class Config:
     #: Seconds an open breaker fast-fails before letting one half-open
     #: probe through.
     serving_breaker_reset_s: float = 1.0
-    #: Deadline-driven degradation: when the planner's zone-map row
-    #: estimates predict the exact plan blows the remaining deadline,
-    #: fall back to a sampled scan marked ``degraded=True``. Requires
-    #: ``serving_enabled``.
-    serving_degrade_enabled: bool = True
-    #: Cost-model rate (rows/s a scan is assumed to sustain) used by
-    #: the deadline-aware degradation decision.
-    serving_scan_rows_per_s: float = 2_000_000.0
-    #: Smallest fraction of partitions a degraded scan keeps.
-    serving_min_sample_fraction: float = 0.05
     #: Worker *processes* for the cluster backend. ``0`` (the default)
     #: keeps everything in-process — bit-identical plans and results to
     #: a build without the subsystem. ``N > 0`` forks N executors that
@@ -378,14 +357,6 @@ class Config:
         )
         require(
             "serving_breaker_reset_s", self.serving_breaker_reset_s > 0, "positive"
-        )
-        require(
-            "serving_scan_rows_per_s", self.serving_scan_rows_per_s > 0, "positive"
-        )
-        require(
-            "serving_min_sample_fraction",
-            0.0 < self.serving_min_sample_fraction <= 1.0,
-            "in (0, 1]",
         )
         require("executors", 0 <= self.executors <= 64, "in [0, 64]")
         require("plan_cache_size", self.plan_cache_size >= 0, ">= 0")

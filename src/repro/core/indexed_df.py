@@ -103,7 +103,6 @@ def create_index(
             layout,
             session.config.batch_size_bytes,
             session.config.max_row_bytes,
-            zone_maps=session.config.zone_maps_enabled,
             sanitizers=session.config.sanitizers_enabled,
         )
         for _ in range(n)
@@ -348,7 +347,6 @@ class IndexedDataFrame:
                 layout,
                 config.batch_size_bytes,
                 config.max_row_bytes,
-                zone_maps=config.zone_maps_enabled,
                 sanitizers=config.sanitizers_enabled,
             )
             for _ in range(self.num_partitions)

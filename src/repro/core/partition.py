@@ -54,9 +54,9 @@ class PartitionSnapshot:  # analysis: shipped
         trie: CTrie,
         watermark: tuple[int, int],
         row_count: int,
-        distinct_keys: int = 0,
-        batch_zones: "list[ZoneMap] | None" = None,
-        zone: "ZoneMap | None" = None,
+        distinct_keys: int,
+        batch_zones: "list[ZoneMap]",
+        zone: ZoneMap,
         bitmaps: "dict[int, Any] | None" = None,
     ):
         self.partition = partition
@@ -111,11 +111,10 @@ class PartitionSnapshot:  # analysis: shipped
     ) -> "frozenset[int] | None":
         """Batch numbers whose zone maps admit ``predicates``.
 
-        Returns ``None`` when zone maps are unavailable (disabled, or an
-        empty predicate list) — meaning "scan everything". Predicates
-        use *storage* ordinals.
+        Returns ``None`` for an empty predicate list — meaning "scan
+        everything". Predicates use *storage* ordinals.
         """
-        if not predicates or self.batch_zones is None:
+        if not predicates:
             return None
         return frozenset(
             batch_no
@@ -125,7 +124,7 @@ class PartitionSnapshot:  # analysis: shipped
 
     def may_match(self, predicates: Sequence[PruningPredicate]) -> bool:
         """Could this partition hold any row matching ``predicates``?"""
-        if not predicates or self.zone is None:
+        if not predicates:
             return True
         return self.zone.may_match(predicates)
 
@@ -201,7 +200,6 @@ class IndexedPartition:
         layout: PointerLayout,
         batch_size_bytes: int,
         max_row_bytes: int,
-        zone_maps: bool = True,
         sanitizers: bool = False,
     ):
         self.schema = schema
@@ -220,12 +218,8 @@ class IndexedPartition:
         # their batch: once a newer batch exists, nothing touches them
         # (with sanitizers on, "nothing" is enforced — see _record_row).
         self._num_columns = len(schema)
-        self._batch_zones: list[ZoneMap] | None = (  # guarded-by: _append_lock
-            [ZoneMap(self._num_columns)] if zone_maps else None
-        )
-        self._zone: ZoneMap | None = (  # guarded-by: _append_lock
-            ZoneMap(self._num_columns) if zone_maps else None
-        )
+        self._batch_zones = [ZoneMap(self._num_columns)]  # guarded-by: _append_lock
+        self._zone = ZoneMap(self._num_columns)  # guarded-by: _append_lock
         # Optional write-ahead log: when attached, every append batch
         # is logged (and fsynced) *before* the in-memory apply, both
         # under the same lock — so a checkpoint rotating the WAL under
@@ -300,7 +294,7 @@ class IndexedPartition:
         upsert = self.trie.insert
         reserve = self.batches.reserve
         write = self.batches.write
-        record_zones = self._record_row if self._batch_zones is not None else None
+        record_zones = self._record_row
         record_bitmaps = [index.record for index in self._bitmap_indexes.values()]
         fresh_keys = 0
         pointer = NULL_POINTER
@@ -310,8 +304,7 @@ class IndexedPartition:
             write(payload, prev)
             if prev == NULL_POINTER:
                 fresh_keys += 1
-            if record_zones is not None:
-                record_zones(row)
+            record_zones(row)
             for record in record_bitmaps:
                 record(row, pointer)
         self._row_count += len(payloads)
@@ -341,20 +334,18 @@ class IndexedPartition:
 
     def _snapshot_locked(self) -> PartitionSnapshot:  # requires-lock: _append_lock
         trie = self.trie.readonly_snapshot()
-        batch_zones = zone = None
-        if self._batch_zones is not None:
-            # Sealed zones (all but the last) never change again and
-            # can be shared; the active one is copied so appends past
-            # the watermark stay invisible to this snapshot.
-            batch_zones = self._batch_zones[:-1] + [self._batch_zones[-1].copy()]
-            zone = self._zone.copy()
-            if self._sanitize:
-                # Snapshot-owned copies are immutable by contract
-                # too: poison them so any consumer that tries to
-                # fold new rows into a snapshot's zone map trips
-                # SZ001 instead of skewing pruning decisions.
-                batch_zones[-1].seal()
-                zone.seal()
+        # Sealed zones (all but the last) never change again and can be
+        # shared; the active one is copied so appends past the watermark
+        # stay invisible to this snapshot.
+        batch_zones = self._batch_zones[:-1] + [self._batch_zones[-1].copy()]
+        zone = self._zone.copy()
+        if self._sanitize:
+            # Snapshot-owned copies are immutable by contract too:
+            # poison them so any consumer that tries to fold new rows
+            # into a snapshot's zone map trips SZ001 instead of skewing
+            # pruning decisions.
+            batch_zones[-1].seal()
+            zone.seal()
         bitmaps = None
         if self._bitmap_indexes:
             bitmaps = {
@@ -418,12 +409,9 @@ class IndexedPartition:
             "index": self.trie.to_dict(),
             "row_count": self._row_count,
             "distinct_keys": self._distinct_keys,
-            "batch_zones": None,
-            "zone": None,
+            "batch_zones": [zone.copy() for zone in self._batch_zones],
+            "zone": self._zone.copy(),
         }
-        if self._batch_zones is not None:
-            state["batch_zones"] = [zone.copy() for zone in self._batch_zones]
-            state["zone"] = self._zone.copy()
         if self._bitmap_indexes:
             state["bitmaps"] = {
                 ordinal: index.export_state()
@@ -461,7 +449,6 @@ class IndexedPartition:
         batch_size_bytes: int,
         max_row_bytes: int,
         state: dict,
-        zone_maps: bool = True,
         sanitizers: bool = False,
     ) -> "IndexedPartition":
         """Rebuild a partition from :meth:`export_state` output."""
@@ -471,7 +458,6 @@ class IndexedPartition:
             layout,
             batch_size_bytes,
             max_row_bytes,
-            zone_maps=zone_maps,
             sanitizers=sanitizers,
         )
         with partition._append_lock:
@@ -481,21 +467,17 @@ class IndexedPartition:
             partition.trie = CTrie.from_items(state["index"].items())
             partition._row_count = state["row_count"]
             partition._distinct_keys = state["distinct_keys"]
-            if zone_maps:
-                zones = state.get("batch_zones")
-                zone = state.get("zone")
-                if zones is None or len(zones) != partition.batches.num_batches:
-                    zones, zone = partition._rebuild_zones_locked()
-                if sanitizers:
-                    # Restored rolled-past zones are final again; the
-                    # active tail zone stays live for further appends.
-                    for sealed_zone in zones[:-1]:
-                        sealed_zone.seal()
-                partition._batch_zones = zones
-                partition._zone = zone
-            else:
-                partition._batch_zones = None
-                partition._zone = None
+            zones = state.get("batch_zones")
+            zone = state.get("zone")
+            if zones is None or len(zones) != partition.batches.num_batches:
+                zones, zone = partition._rebuild_zones_locked()
+            if sanitizers:
+                # Restored rolled-past zones are final again; the active
+                # tail zone stays live for further appends.
+                for sealed_zone in zones[:-1]:
+                    sealed_zone.seal()
+            partition._batch_zones = zones
+            partition._zone = zone
             bitmap_states = state.get("bitmaps")
             if bitmap_states:
                 from repro.index.bitmap import PartitionBitmapIndex
@@ -509,8 +491,12 @@ class IndexedPartition:
     def _rebuild_zones_locked(  # requires-lock: _append_lock
         self,
     ) -> tuple[list[ZoneMap], ZoneMap]:
-        """Recompute per-batch + rollup zone maps by scanning storage
-        (used when a checkpoint predates zone maps being enabled)."""
+        """Recompute per-batch + rollup zone maps by scanning storage.
+
+        Used when a checkpoint state carries no zones, or a zone list
+        whose length disagrees with the restored batches: state read
+        from disk is not trusted to describe the rows it restores.
+        """
         codec = self.codec
         zones: list[ZoneMap] = []
         rollup = ZoneMap(self._num_columns)

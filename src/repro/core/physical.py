@@ -55,7 +55,6 @@ class IndexedScanExec(PhysicalPlan):
         self._pruned = 0
         self._routed = False
         self._batches_pruned = 0
-        self._sample_fraction: float | None = None
         self._index_rejected: str | None = None
 
     def mark_index_rejected(self, reason: str) -> None:
@@ -77,8 +76,6 @@ class IndexedScanExec(PhysicalPlan):
           summaries maintained under the append lock, frozen per MVCC
           snapshot, skip zones whose ranges exclude the predicates.
         """
-        if not self.ctx.config.zone_maps_enabled:
-            return
         predicates = extract_pruning_predicates(condition, self.output)
         if not predicates:
             return
@@ -105,8 +102,7 @@ class IndexedScanExec(PhysicalPlan):
         batches_total = batches_pruned = 0
         for i in candidates:
             snap = snapshots[i]
-            zones = snap.batch_zones
-            zone_count = len(zones) if zones is not None else 0
+            zone_count = len(snap.batch_zones)
             batches_total += zone_count
             if not snap.may_match(predicates):
                 batches_pruned += zone_count
@@ -133,33 +129,6 @@ class IndexedScanExec(PhysicalPlan):
             routed=self._routed,
         )
 
-    def estimated_rows(self) -> int | None:
-        """Row estimate for deadline-aware planning, scaled by any
-        partition pruning already applied."""
-        snapshots = self.version.snapshots
-        if self._keep is None:
-            return self.version.row_count()
-        return sum(len(snapshots[i]) for i in self._keep)
-
-    def apply_sampling(self, fraction: float) -> bool:
-        """Degrade to a strided subset of the surviving partitions
-        (see ``ScanExec.apply_sampling``; same contract, composing
-        with both hash routing and zone pruning)."""
-        candidates = (
-            self._keep
-            if self._keep is not None
-            else list(range(len(self.version.snapshots)))
-        )
-        if len(candidates) <= 1:
-            return False
-        target = max(1, round(len(candidates) * fraction))
-        if target >= len(candidates):
-            return False
-        step = len(candidates) / target
-        self._keep = [candidates[int(i * step)] for i in range(target)]
-        self._sample_fraction = fraction
-        return True
-
     def execute(self) -> RDD:
         return IndexedRowBatchRDD(
             self.ctx,
@@ -179,8 +148,6 @@ class IndexedScanExec(PhysicalPlan):
             markers.append(f"{kind}={self._pruned}/{total}")
         if self._batches_pruned:
             markers.append(f"batches_pruned={self._batches_pruned}")
-        if self._sample_fraction is not None:
-            markers.append(f"degraded=True, sample={self._sample_fraction:.3f}")
         if self._index_rejected is not None:
             markers.append(f"index_rejected={self._index_rejected}")
         if markers:

@@ -249,22 +249,20 @@ def _guard(
 
 
 def _bitmap_candidate(
-    condition: Expression, relation: IndexedRelation, planner: Planner
+    condition: Expression, relation: IndexedRelation
 ) -> dict | None:
     """Compile and evaluate a bitmap program for ``condition``.
 
-    Returns ``None`` when no bitmap plan is *possible* here — the knob
-    is off, no snapshot carries bitmap views, no conjunct compiles, or
-    some partition cannot evaluate the program soundly (a missing view
-    or a value/literal type mismatch; a partial bitmap answer would be
+    Returns ``None`` when no bitmap plan is *possible* here — no
+    snapshot carries bitmap views, no conjunct compiles, or some
+    partition cannot evaluate the program soundly (a missing view or a
+    value/literal type mismatch; a partial bitmap answer would be
     wrong, so the whole plan is abandoned). Otherwise returns the exact
     per-partition selections plus everything the cost model and the
     exec need. Evaluation happens at plan time: big-int AND/OR over
     whole bitmaps is cheap, and the resulting popcount is an *exact*
     cost signal, not an estimate.
     """
-    if not planner.config.bitmap_indexes_enabled:
-        return None
     snapshots = relation.version.snapshots
     if not snapshots:
         return None
@@ -299,23 +297,17 @@ def _bitmap_candidate(
     }
 
 
-def _scan_rival_rows(
-    condition: Expression, relation: IndexedRelation, planner: Planner
-) -> int:
+def _scan_rival_rows(condition: Expression, relation: IndexedRelation) -> int:
     """Rows the zone-map-pruned scan would decode for ``condition``.
 
     Computed against the snapshot zone maps directly — *without*
     calling ``apply_pruning`` on any exec — so costing a scan that is
     never taken records nothing in the pruning metrics.
     """
-    snapshots = relation.version.snapshots
-    total = relation.version.row_count()
-    if not planner.config.zone_maps_enabled:
-        return total
     predicates = extract_pruning_predicates(condition, relation.output())
     if not predicates:
-        return total
-    return sum(len(s) for s in snapshots if s.may_match(predicates))
+        return relation.version.row_count()
+    return sum(len(s) for s in relation.version.snapshots if s.may_match(predicates))
 
 
 def _bitmap_choice(
@@ -327,13 +319,13 @@ def _bitmap_choice(
     """Cost the bitmap plan for ``condition`` against ``rival_rows``.
 
     ``None`` — no bitmap candidate exists (stay silent; the vanilla
-    plan is bit-identical to the pre-bitmap planner).
+    strategy plans the scan).
     ``("chosen", exec)`` — the bitmap plan won; ``exec`` is the fetch
     operator with any residual filter already applied above it.
     ``("rejected", reason)`` — a candidate existed but lost; the caller
     must surface the decision (EXPLAIN marker + metrics counter).
     """
-    candidate = _bitmap_candidate(condition, relation, planner)
+    candidate = _bitmap_candidate(condition, relation)
     if candidate is None:
         return None
     cost = candidate["selected"] * _BITMAP_FETCH_COST
@@ -369,13 +361,13 @@ def _plan_bitmap_vs_scan(
     bitmap-vs-pruned-scan cost comparison.
 
     Returns ``None`` when no bitmap index applies — the vanilla
-    strategy then produces the exact pre-bitmap plan. On rejection the
-    vanilla plan is replicated here so the losing decision can be
-    surfaced: the scan still zone-prunes (recording the usual pruning
-    counters), carries an ``index_rejected`` EXPLAIN marker, and the
-    rejection is counted in the pruning metrics.
+    strategy then plans the pruned scan. On rejection the vanilla plan
+    is replicated here so the losing decision can be surfaced: the scan
+    still zone-prunes (recording the usual pruning counters), carries an
+    ``index_rejected`` EXPLAIN marker, and the rejection is counted in
+    the pruning metrics.
     """
-    rival = _scan_rival_rows(condition, relation, planner)
+    rival = _scan_rival_rows(condition, relation)
     choice = _bitmap_choice(condition, relation, planner, rival)
     if choice is None:
         return None
@@ -427,7 +419,7 @@ def indexed_strategy(plan: LogicalPlan, planner: Planner) -> PhysicalPlan | None
         )
         assert full_condition is not None
         rival = min(
-            _scan_rival_rows(full_condition, relation, planner),
+            _scan_rival_rows(full_condition, relation),
             max(1, lookup.estimated_rows()),
         )
         choice = _bitmap_choice(full_condition, relation, planner, rival)
@@ -444,7 +436,7 @@ def indexed_strategy(plan: LogicalPlan, planner: Planner) -> PhysicalPlan | None
         return FilterExec(plan.condition, child)
     if isinstance(plan, Filter) and isinstance(plan.child, IndexedRelation):
         # Bitmap vs zone-map-pruned scan. None → the vanilla strategy
-        # plans Filter(IndexedScan) exactly as before this rule existed.
+        # plans Filter(IndexedScan).
         return _plan_bitmap_vs_scan(plan, plan.condition, plan.child, planner)
     if isinstance(plan, IndexedRelation):
         return IndexedScanExec(planner.ctx, plan.version, plan.output())

@@ -108,7 +108,6 @@ class RecoveryManager:
                     layout,
                     batch_size,
                     max_row,
-                    zone_maps=config.zone_maps_enabled,
                     sanitizers=config.sanitizers_enabled,
                 )
                 for _ in range(num_partitions)
@@ -129,7 +128,6 @@ class RecoveryManager:
                     batch_size,
                     max_row,
                     state,
-                    zone_maps=config.zone_maps_enabled,
                     sanitizers=config.sanitizers_enabled,
                 )
                 for state in states

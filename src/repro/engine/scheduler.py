@@ -372,15 +372,11 @@ class DAGScheduler:
         missing, lineage, readers, index_sensitive = self._collect_shuffles(rdd)
         self._lineage = lineage
         # Coalescing renumbers reduce partitions, so it is only
-        # attempted when (a) adaptivity is on, (b) the caller asked
-        # for *all* partitions (explicit indices, e.g. take(), were
-        # chosen against the planned count), and (c) nothing in the
-        # job graph depends on partition identity.
-        coalesce = (
-            self._config.adaptive_enabled
-            and partitions is None
-            and not index_sensitive
-        )
+        # attempted when (a) the caller asked for *all* partitions
+        # (explicit indices, e.g. take(), were chosen against the
+        # planned count), and (b) nothing in the job graph depends on
+        # partition identity.
+        coalesce = partitions is None and not index_sensitive
         try:
             for dep in missing:
                 if query is not None:

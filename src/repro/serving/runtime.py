@@ -1,4 +1,4 @@
-"""The serving runtime: admission → execution → degradation.
+"""The serving runtime: admission → planning → execution.
 
 One :class:`ServingRuntime` per :class:`~repro.sql.session.Session`
 (created only when ``Config.serving_enabled``). ``Session.serve()``
@@ -6,15 +6,13 @@ funnels every query through :meth:`ServingRuntime.execute`:
 
 1. **admit** — the admission controller grants a slot or sheds the
    query (:class:`~repro.errors.QueryRejectedError`);
-2. **plan** — analyze/optimize/plan as usual, then the deadline-aware
-   degradation pass: when zone-map row estimates predict the exact scan
-   blows the remaining deadline, sampling-capable scans are shrunk to a
-   strided partition subset and the plan carries a ``degraded=True``
-   marker (visible in ``last_execution_plan``);
+2. **plan** — analyze/optimize/plan as usual; the plan stays
+   inspectable through ``last_execution_plan``;
 3. **execute** — the query context is activated on the driver thread;
-   the scheduler propagates it into pool tasks, and every poll site
+   the scheduler propagates it into tasks, and every poll site
    (driver loops, shuffle fetch, codegen chunk loops) enforces the
-   deadline / cancellation cooperatively;
+   deadline / cancellation cooperatively. A query that cannot finish
+   inside its deadline is cancelled with reason ``"deadline"``;
 4. **settle** — slots, memory charges, and queue positions are released
    on every exit path, success or typed failure.
 
@@ -48,8 +46,6 @@ class ServingResult:
     query_id: str
     tenant: str
     rows: list[tuple]
-    degraded: bool
-    sample_fraction: float | None
     elapsed_s: float
 
     def __len__(self) -> int:
@@ -66,7 +62,6 @@ class ServingMetrics:
     cancelled: int = 0  # guarded-by: _lock
     deadline_cancelled: int = 0  # guarded-by: _lock
     memory_cancelled: int = 0  # guarded-by: _lock
-    degraded: int = 0  # guarded-by: _lock
     failed: int = 0  # guarded-by: _lock
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -85,16 +80,9 @@ class ServingMetrics:
                     "cancelled",
                     "deadline_cancelled",
                     "memory_cancelled",
-                    "degraded",
                     "failed",
                 )
             }
-
-
-def _walk(plan: Any):
-    yield plan
-    for child in getattr(plan, "children", ()):
-        yield from _walk(child)
 
 
 class ServingRuntime:
@@ -170,7 +158,7 @@ class ServingRuntime:
             token = activate(query)
             try:
                 df = self._session.sql(text)
-                physical, degraded, fraction = self._plan(df, query)
+                physical = self._plan(df)
                 query.check()
                 rows = physical.execute().collect()
             finally:
@@ -190,14 +178,10 @@ class ServingRuntime:
             self.memory.unregister(query)
             self.admission.release(query)
         self.metrics.bump("completed")
-        if degraded:
-            self.metrics.bump("degraded")
         return ServingResult(
             query_id=query.query_id,
             tenant=tenant,
             rows=rows,
-            degraded=degraded,
-            sample_fraction=fraction,
             elapsed_s=time.monotonic() - start,
         )
 
@@ -217,61 +201,18 @@ class ServingRuntime:
         return len(active)
 
     # ------------------------------------------------------------------
-    # Planning + graceful degradation
+    # Planning
     # ------------------------------------------------------------------
 
-    def _plan(
-        self, df: "DataFrame", query: QueryContext
-    ) -> tuple[Any, bool, float | None]:
+    def _plan(self, df: "DataFrame") -> Any:
         session = self._session
         analyzed = df.analyzed_plan()
         optimized = session.optimize_plan(analyzed)
         physical = session.planner.plan(optimized)
-        degraded, fraction = self._maybe_degrade(physical, query)
-        # Mirror DataFrame._execute: runtime markers (sampling included)
-        # stay inspectable through last_execution_plan().
+        # Mirror DataFrame._execute: runtime markers stay inspectable
+        # through last_execution_plan().
         df._last_physical = physical
-        return physical, degraded, fraction
-
-    def _maybe_degrade(
-        self, physical: Any, query: QueryContext
-    ) -> tuple[bool, float | None]:
-        """Shrink sampling-capable scans when the exact plan cannot
-        finish inside the remaining deadline (zone-map row estimates ×
-        the calibrated ``serving_scan_rows_per_s`` throughput)."""
-        if not self._config.serving_degrade_enabled:
-            return False, None
-        remaining = query.remaining()
-        if remaining is None:
-            return False, None
-        scans = [
-            node
-            for node in _walk(physical)
-            if callable(getattr(node, "apply_sampling", None))
-        ]
-        if not scans:
-            return False, None
-        estimated = 0
-        for node in scans:
-            rows = node.estimated_rows()
-            if rows is not None:
-                estimated += rows
-        if estimated <= 0:
-            return False, None
-        rate = self._config.serving_scan_rows_per_s
-        if estimated / rate <= max(remaining, 0.0):
-            return False, None
-        budget_rows = max(remaining, 0.0) * rate
-        fraction = max(
-            self._config.serving_min_sample_fraction,
-            min(1.0, budget_rows / estimated),
-        )
-        applied = False
-        for node in scans:
-            applied = node.apply_sampling(fraction) or applied
-        if not applied:
-            return False, None
-        return True, fraction
+        return physical
 
     # ------------------------------------------------------------------
 

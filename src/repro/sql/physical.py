@@ -107,7 +107,6 @@ class ScanExec(PhysicalPlan):
         self.columns = list(columns) if columns is not None else None
         self._keep: list[int] | None = None
         self._pruned = 0
-        self._sample_fraction: float | None = None
 
     def apply_pruning(self, condition: Expression) -> None:
         """Use zone maps to skip partitions a filter can never match.
@@ -120,8 +119,6 @@ class ScanExec(PhysicalPlan):
         False for a zone containing a matching row, and the filter above
         still re-checks every surviving row.
         """
-        if not self.ctx.config.zone_maps_enabled:
-            return
         predicates = extract_pruning_predicates(condition, self.output)
         if not predicates:
             return
@@ -137,43 +134,6 @@ class ScanExec(PhysicalPlan):
             partitions_total=len(zones), partitions_pruned=self._pruned
         )
 
-    def estimated_rows(self) -> int | None:
-        """Row estimate for deadline-aware planning, scaled by any
-        pruning already applied (the fraction of partitions kept)."""
-        rows = self.relation.num_rows()
-        if rows is None or self._keep is None:
-            return rows
-        total = self._pruned + len(self._keep)
-        if total <= 0:
-            return rows
-        return int(rows * len(self._keep) / total)
-
-    def apply_sampling(self, fraction: float) -> bool:
-        """Degrade to a strided subset of the surviving partitions.
-
-        Called by the serving runtime when the deadline-aware planner
-        predicts the exact scan blows the query's remaining deadline
-        (DESIGN.md §12). Composes with zone pruning: sampling draws
-        from the *kept* partitions, evenly strided so the sample spans
-        the relation instead of its prefix. Returns True when the scan
-        actually shrank — the plan then carries a ``degraded=True``
-        EXPLAIN marker.
-        """
-        candidates = (
-            self._keep
-            if self._keep is not None
-            else list(range(self.relation.num_partitions))
-        )
-        if len(candidates) <= 1:
-            return False
-        target = max(1, round(len(candidates) * fraction))
-        if target >= len(candidates):
-            return False
-        step = len(candidates) / target
-        self._keep = [candidates[int(i * step)] for i in range(target)]
-        self._sample_fraction = fraction
-        return True
-
     def execute(self) -> RDD:
         return self.relation.to_rdd(self.ctx, self.columns, self._keep)
 
@@ -183,8 +143,6 @@ class ScanExec(PhysicalPlan):
         if self._pruned and self._keep is not None:
             total = self._pruned + len(self._keep)
             base = f"{base}, zone_pruned={self._pruned}/{total}"
-        if self._sample_fraction is not None:
-            base = f"{base}, degraded=True, sample={self._sample_fraction:.3f}"
         return base + "]"
 
 

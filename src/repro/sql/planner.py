@@ -206,13 +206,10 @@ def _plan_join(join: Join, planner: Planner) -> PhysicalPlan:
         return BroadcastHashJoinExec(
             left, right, left_keys, right_keys, join.how, extra
         )
-    # The static estimate said "too big to broadcast" (or gave nothing);
-    # with adaptive execution on, defer the call until the right side's
-    # exact size is known at runtime (Spark AQE's join replanning).
-    if (
-        planner.config.adaptive_enabled
-        and join.how in BroadcastHashJoinExec.SUPPORTED
-    ):
+    # The static estimate said "too big to broadcast" (or gave nothing):
+    # defer the call until the right side's exact size is known at
+    # runtime (Spark AQE's join replanning).
+    if join.how in BroadcastHashJoinExec.SUPPORTED:
         return AdaptiveJoinExec(left, right, left_keys, right_keys, join.how, extra)
     return ShuffledHashJoinExec(left, right, left_keys, right_keys, join.how, extra)
 

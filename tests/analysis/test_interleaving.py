@@ -33,7 +33,7 @@ TOTAL = 60
 def make_partition():
     layout = PointerLayout.for_geometry(BATCH, MAX_ROW)
     return IndexedPartition(
-        SCHEMA, 0, layout, BATCH, MAX_ROW, zone_maps=True, sanitizers=True
+        SCHEMA, 0, layout, BATCH, MAX_ROW, sanitizers=True
     )
 
 

@@ -15,11 +15,10 @@ BATCH = 1024
 MAX_ROW = 128
 
 
-def make_partition(sanitizers=True, zone_maps=True):
+def make_partition(sanitizers=True):
     layout = PointerLayout.for_geometry(BATCH, MAX_ROW)
     return IndexedPartition(
-        SCHEMA, 0, layout, BATCH, MAX_ROW,
-        zone_maps=zone_maps, sanitizers=sanitizers,
+        SCHEMA, 0, layout, BATCH, MAX_ROW, sanitizers=sanitizers
     )
 
 

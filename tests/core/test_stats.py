@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import Config
 from repro.core.partition import IndexedPartition
 from repro.core.pointers import PointerLayout
 from repro.sql.expressions import (
@@ -40,9 +41,11 @@ SCHEMA = StructType(
 )
 
 
-def make_partition(zone_maps: bool = True) -> IndexedPartition:
+def make_partition() -> IndexedPartition:
     layout = PointerLayout.for_geometry(1024, 256)
-    return IndexedPartition(SCHEMA, 0, layout, 1024, 256, zone_maps=zone_maps)
+    # Sealed under REPRO_SANITIZERS=1, like every session's partitions.
+    sanitizers = Config().sanitizers_enabled
+    return IndexedPartition(SCHEMA, 0, layout, 1024, 256, sanitizers=sanitizers)
 
 
 class TestColumnStats:
@@ -227,15 +230,6 @@ class TestPartitionZoneMaps:
         snapshot = partition.snapshot()
         assert snapshot.zone.rows == 10
         assert (snapshot.zone.columns[0].min, snapshot.zone.columns[0].max) == (0, 9)
-
-    def test_zone_maps_disabled(self):
-        partition = make_partition(zone_maps=False)
-        partition.append_many([(i, "x") for i in range(20)])
-        snapshot = partition.snapshot()
-        assert snapshot.batch_zones is None and snapshot.zone is None
-        # Without zones nothing is provable: everything may match.
-        assert snapshot.may_match([PruningPredicate(0, "eq", (999,))])
-        assert snapshot.matching_batches([PruningPredicate(0, "eq", (999,))]) is None
 
     def test_mixed_type_value_column_degrades_not_breaks(self):
         partition = make_partition()

@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core import create_index
+from repro.core.partition import IndexedPartition
+from repro.core.pointers import PointerLayout
 from repro.errors import IndexError_
+from repro.sql.types import LongType, StringType, StructField, StructType
 from repro.streaming import Broker, IndexedIngest, Producer
 
 SCHEMA = [("id", "long"), ("name", "string")]
@@ -108,12 +111,47 @@ class TestEngineStateAfterRecovery:
 
     def test_zone_maps_rebuilt_for_pruning(self, make_session):
         session = make_session()
-        indexed = build(session, some_rows(50))
+        build(session, some_rows(50))
         session.durability.store("t").checkpoint()
-        recovered = make_session(zone_maps_enabled=True).durability.recover("t")
+        recovered = make_session().durability.recover("t")
         for snapshot in recovered.version.snapshots:
-            assert snapshot.zone is not None
             assert snapshot.zone.rows == len(snapshot)
+
+    @pytest.mark.parametrize("damage", ["stripped", "one_batch_short"])
+    def test_checkpoint_state_without_zones_rebuilds_them(self, damage):
+        """A checkpoint state whose zones are missing, or do not cover
+        every restored batch, gets its zones recomputed from the rows."""
+        schema = StructType(
+            [
+                StructField("id", LongType(), nullable=False),
+                StructField("v", StringType()),
+            ]
+        )
+        layout = PointerLayout.for_geometry(1024, 256)
+        live = IndexedPartition(schema, 0, layout, 1024, 256)
+        live.append_many(
+            [(i, None if i % 7 == 0 else f"v{i:03d}") for i in range(200)]
+        )
+        state = live.export_state()
+        assert len(state["batch_zones"]) > 2  # several batches to rebuild
+        if damage == "stripped":
+            state = {
+                k: v for k, v in state.items() if k not in ("batch_zones", "zone")
+            }
+        else:
+            state = dict(state, batch_zones=state["batch_zones"][:-1])
+        restored = IndexedPartition.from_state(
+            schema, 0, layout, 1024, 256, state
+        ).snapshot()
+        expected = live.snapshot()
+
+        def summary(zone):
+            return zone.rows, [(c.min, c.max, c.nulls) for c in zone.columns]
+
+        assert [summary(z) for z in restored.batch_zones] == [
+            summary(z) for z in expected.batch_zones
+        ]
+        assert summary(restored.zone) == summary(expected.zone)
 
     def test_sanitized_recovery_reseals_batches(self, make_session):
         session = make_session(sanitizers_enabled=True)

@@ -3,7 +3,7 @@
 The scheduler merges adjacent reduce buckets from recorded map-output
 sizes. The tests pin down both directions of the contract: when it may
 fire (internal aggregation shuffles) and when it must not (explicit
-placement, index-sensitive jobs, the knob off).
+placement, explicit partition lists, index-sensitive jobs).
 """
 
 from __future__ import annotations
@@ -17,18 +17,7 @@ from tests.conftest import small_config
 
 @pytest.fixture()
 def adaptive_ctx():
-    context = EngineContext(
-        small_config(shuffle_partitions=16, adaptive_enabled=True)
-    )
-    yield context
-    context.stop()
-
-
-@pytest.fixture()
-def static_ctx():
-    context = EngineContext(
-        small_config(shuffle_partitions=16, adaptive_enabled=False)
-    )
+    context = EngineContext(small_config(shuffle_partitions=16))
     yield context
     context.stop()
 
@@ -41,18 +30,13 @@ def tiny_reduce(ctx, n_keys=4, rows=200):
 
 
 class TestCoalescing:
-    def test_fires_and_preserves_results(self, adaptive_ctx, static_ctx):
-        expected = sorted(tiny_reduce(static_ctx).collect())
+    def test_fires_and_preserves_results(self, adaptive_ctx):
         before = adaptive_ctx.scheduler.metrics.snapshot()
         got = sorted(tiny_reduce(adaptive_ctx).collect())
         after = adaptive_ctx.scheduler.metrics.snapshot()
-        assert got == expected == [(k, 50) for k in range(4)]
+        assert got == [(k, 50) for k in range(4)]
         assert after["coalesced_shuffles"] > before["coalesced_shuffles"]
         assert after["coalesced_partitions"] > before["coalesced_partitions"]
-
-    def test_static_never_coalesces(self, static_ctx):
-        tiny_reduce(static_ctx).collect()
-        assert static_ctx.scheduler.metrics.snapshot()["coalesced_shuffles"] == 0
 
     def test_downstream_ops_see_merged_partitions(self, adaptive_ctx):
         result = (

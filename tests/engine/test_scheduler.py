@@ -118,19 +118,21 @@ class TestParallelism:
 
             return record
 
-        config = Config(executors=0, executor_threads=4, adaptive_enabled=False)
+        config = Config(executors=0, executor_threads=4)
         with EngineContext(config) as ctx:
             before = ctx.scheduler.metrics.snapshot()
             pairs = ctx.parallelize([(i % 4, 1) for i in range(40)], 4)
-            counts = (
+            counted = (
                 pairs.map(tag("map"))
                 .reduce_by_key(lambda a, b: a + b, num_partitions=4)
                 .map(tag("result"))
-                .collect()
             )
+            # Explicit partitions pin the reduce side at 4 tasks: the
+            # scheduler never coalesces a job that names its partitions.
+            parts = ctx.run_job(counted, list, partitions=range(4))
             after = ctx.scheduler.metrics.snapshot()
             assert executor_threads() == []
-        assert sorted(counts) == [(k, 10) for k in range(4)]
+        assert sorted(kv for part in parts for kv in part) == [(k, 10) for k in range(4)]
         # One 4-task map stage, one 4-task result stage.
         assert after["stages"] - before["stages"] == 2
         assert after["tasks"] - before["tasks"] == 8

@@ -226,9 +226,7 @@ class TestShuffleLifetime:
         assert session.ctx.scheduler.metrics.stages > 400
 
     def test_cluster_spill_dir_stays_empty_across_joins(self):
-        config = small_config(
-            executors=2, broadcast_threshold=0, adaptive_enabled=False
-        )
+        config = small_config(executors=2, broadcast_threshold=0)
         with Session(config) as session:
             rows = [(i, i % 5) for i in range(200)]
             labels = [(k, f"g{k}") for k in range(5)]

@@ -124,7 +124,6 @@ class TestLineageRecomputation:
             faults=FaultProfile(seed=3, shuffle_loss_p=1.0, max_fires_per_site=6),
             task_max_retries=2,
             shuffle_partitions=16,
-            adaptive_enabled=True,
         )
         pairs = ctx.parallelize([(i % 4, 1) for i in range(200)], 4)
         counts = dict(

@@ -124,20 +124,6 @@ class TestJoinModes:
         assert joined.count() == 500
         assert "decision=shuffle" in joined.last_execution_plan()
 
-    def test_large_right_side_shuffles_static(self):
-        from tests.conftest import small_config
-        from repro.sql.session import Session
-
-        session = Session(small_config(adaptive_enabled=False))
-        try:
-            big = session.create_dataframe([(i,) for i in range(500)], [("a", "long")])
-            other = session.create_dataframe([(i,) for i in range(500)], [("b", "long")])
-            joined = big.join(other, on=big.col("a") == other.col("b"))
-            assert "ShuffledHashJoin" in joined.explain()
-            assert joined.count() == 500
-        finally:
-            session.stop()
-
     def test_right_outer_never_broadcast(self, session):
         big = session.create_dataframe([(i,) for i in range(500)], [("a", "long")])
         small = session.create_dataframe([(7,)], [("b", "long")])

@@ -65,19 +65,6 @@ class TestVanillaScanPruning:
         assert len(query.collect_tuples()) == 50
         assert "zone_pruned" not in query.last_execution_plan()
 
-    def test_knob_off_no_pruning_same_results(self):
-        session = Session(small_config(zone_maps_enabled=False))
-        try:
-            df = session.create_dataframe(
-                self.rows(), [("id", "long"), ("name", "string")]
-            )
-            query = df.filter(col("id") < 10)
-            assert sorted(t[0] for t in query.collect_tuples()) == list(range(10))
-            assert "zone_pruned" not in query.last_execution_plan()
-            assert session.ctx.pruning_metrics.snapshot()["scans"] == 0
-        finally:
-            session.stop()
-
     def test_nulls_survive_pruning(self, session):
         df = session.create_dataframe(
             [(1, "a"), (None, "b"), (50, "c"), (None, "d")],
@@ -143,21 +130,6 @@ class TestIndexedScanPruning:
         assert "key_routed=" in described
         rows = session.ctx.run_job(scan.execute(), list)
         assert [t for part in rows for t in part if t[0] == 7] == [(7, "n7")]
-
-    def test_zone_maps_disabled_indexed(self):
-        session = Session(small_config(zone_maps_enabled=False))
-        enable_indexing(session)
-        try:
-            df = session.create_dataframe(
-                [(i, "x") for i in range(100)], [("id", "long"), ("v", "string")]
-            )
-            indexed = create_index(df, "id")
-            query = indexed.to_df().filter((col("id") >= 10) & (col("id") < 20))
-            assert query.count() == 10
-            plan = query.last_execution_plan()
-            assert "batches_pruned" not in plan and "zone_pruned" not in plan
-        finally:
-            session.stop()
 
 
 class TestSimplifyInLists:

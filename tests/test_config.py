@@ -132,9 +132,6 @@ class TestServingKnobs:
             dict(serving_query_memory_bytes=-5),
             dict(serving_breaker_failures=0),
             dict(serving_breaker_reset_s=-0.1),
-            dict(serving_scan_rows_per_s=0),
-            dict(serving_min_sample_fraction=0),
-            dict(serving_min_sample_fraction=1.5),
             dict(stage_timeout_s=0),
             dict(target_reduce_bytes=0),
         ]

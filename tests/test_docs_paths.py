@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DOCS = ("README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
 PATH = re.compile(
     r"(?<![\w./-])((?:benchmarks|examples|src|tests)/[\w./-]*\w|BENCH\w*\.json)"
 )
