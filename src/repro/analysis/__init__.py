@@ -4,8 +4,15 @@ Run the static pass over a tree with ``python -m repro.analysis src/``.
 Modules:
 
 * :mod:`repro.analysis.report` — rule registry and Violation records;
-* :mod:`repro.analysis.lockcheck` — lock-discipline rules (LD*);
+* :mod:`repro.analysis.program` — the single parse every source rule
+  family reads, and the inline-allow contract;
+* :mod:`repro.analysis.lockgraph` — lock discipline (LD*) and lock
+  ordering (LO*) over one lock model;
 * :mod:`repro.analysis.plancheck` — physical-plan contracts (PC*);
+* :mod:`repro.analysis.taxonomy`, :mod:`~repro.analysis.cancelcheck`,
+  :mod:`~repro.analysis.sitecheck`, :mod:`~repro.analysis.escapecheck`
+  — exception taxonomy (ET*), cancellation polls (CP*), fault sites
+  (FS*), process-boundary escapes (XP*);
 * :mod:`repro.analysis.codegen_rules` — generated-code rules (CG*),
   also called by the compiler on every kernel before ``exec``;
 * :mod:`repro.analysis.interleave` — deterministic interleaving driver

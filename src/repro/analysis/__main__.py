@@ -2,11 +2,11 @@
 
 Walks the given files/directories and runs every rule family:
 
-* per-file: lock discipline (LD), plan contracts (PC) on ``*.py``;
-  generated-code rules (CG) on ``*.gensrc`` kernel captures;
-* whole-program (one shared parse of every ``*.py`` file): lock
-  ordering (LO), exception taxonomy (ET), cancellation-poll coverage
-  (CP), fault-site cross-checks (FS), process-boundary escapes (XP).
+* over one shared parse of every ``*.py`` file: lock discipline (LD)
+  and lock ordering (LO), plan contracts (PC), exception taxonomy (ET),
+  cancellation-poll coverage (CP), fault-site cross-checks (FS),
+  process-boundary escapes (XP);
+* per file: generated-code rules (CG) on ``*.gensrc`` kernel captures.
 
 Output is one ``path:line: RULE message`` line per finding (or a JSON
 document with ``--format json``), exit nonzero if anything was found.
@@ -31,7 +31,6 @@ from repro.analysis import (
     cancelcheck,
     codegen_rules,
     escapecheck,
-    lockcheck,
     lockgraph,
     plancheck,
     sitecheck,
@@ -41,8 +40,10 @@ from repro.analysis.baseline import Baseline, load_baseline
 from repro.analysis.program import Program
 from repro.analysis.report import RULES, Violation
 
-#: Whole-program rule families, run over one shared parse.
-PROGRAM_CHECKS = (lockgraph, taxonomy, cancelcheck, sitecheck, escapecheck)
+#: Rule families for ``*.py`` files, run over one shared parse.
+PROGRAM_CHECKS = (
+    lockgraph, plancheck, taxonomy, cancelcheck, sitecheck, escapecheck,
+)
 
 
 def iter_source_files(paths: list[str]) -> list[Path]:
@@ -73,8 +74,6 @@ def check_paths(
             violations.extend(codegen_rules.check_file(path))
             continue
         py_files.append(path)
-        violations.extend(lockcheck.check_file(path))
-        violations.extend(plancheck.check_file(path))
     if py_files:
         program = Program.load(py_files)
         for family in PROGRAM_CHECKS:
@@ -132,11 +131,11 @@ def _split_rules(raw: str | None) -> list[str] | None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Project-specific static analysis: file-local rules "
-        "(lock discipline, plan contracts, generated code) plus the "
-        "whole-program contract families (lock ordering, exception "
-        "taxonomy, cancellation polls, fault sites, process-boundary "
-        "escapes).",
+        description="Project-specific static analysis: one parse of the "
+        "tree feeds every source rule family (lock discipline and "
+        "ordering, plan contracts, exception taxonomy, cancellation "
+        "polls, fault sites, process-boundary escapes); captured kernels "
+        "get the generated-code rules.",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"],

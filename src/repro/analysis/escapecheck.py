@@ -30,21 +30,13 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.program import ParsedModule, Program
+from repro.analysis.program import MUTATORS, ParsedModule, Program
 from repro.analysis.report import Violation
 
 #: Constructors a shipped class must not store.
 _FORBIDDEN_FACTORIES = frozenset(
     {"Lock", "RLock", "Condition", "Event", "Semaphore",
      "BoundedSemaphore", "Thread", "open", "socket", "Popen"}
-)
-
-#: Mutator names that modify their receiver (the LD002 set, plus the
-#: bitmap/zone mutators shared views expose).
-_MUTATORS = frozenset(
-    {"append", "extend", "insert", "remove", "pop", "popitem", "clear",
-     "update", "add", "discard", "setdefault", "sort", "reverse",
-     "record", "merge", "seal", "update_row", "rotate", "truncate"}
 )
 
 #: Receiver-name substrings that denote shared-memory views.
@@ -118,7 +110,7 @@ def _check_worker_scope(module: ParsedModule, root: ast.AST, scope: str,
                     )
         elif isinstance(node, ast.Call):
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
+            if isinstance(func, ast.Attribute) and func.attr in MUTATORS:
                 if _looks_like_view(_receiver_text(func.value)):
                     module.report(
                         out, "XP002", node.lineno,

@@ -1,39 +1,54 @@
-"""Whole-program lock-ordering analysis (rules LO001–LO003).
+"""Lock discipline and lock ordering on one lock model (LD001–LD004,
+LO001–LO003).
 
-The engine now nests locks across layers: ``create_index`` runs a
-builder under the :class:`~repro.index.registry.BitmapIndexRegistry`
-lock, the builder takes each partition's append lock, and the per-
-partition bitmap index records rows under its own lock — a three-level
-chain crossing three modules. A second chain anywhere that acquires
-the same locks in the *opposite* order is a deadlock that no tier-1
-test reliably produces. This module builds the global acquisition
-graph and reports:
+Two comment annotations declare the locks: ``# guarded-by: <lock>`` on
+the line where a field is first assigned (in a method or the class
+body) says every write to it needs ``with self.<lock>:``;
+``# requires-lock: <lock>`` on a ``def`` line says the method runs with
+the lock already held. One scan per class (nested classes included)
+records, for every method, the held-lock set at each acquisition, each
+call, and each write through ``self``. A ``requires-lock`` method starts
+with its lock held; closures start with an *empty* held set, because a
+closure can run after the enclosing ``with`` released the lock.
 
-* **LO001** — a cycle in the acquisition graph: lock A is held while
-  acquiring B somewhere, and B while acquiring A somewhere else;
-* **LO002** — re-acquisition of a lock the method already holds, when
-  the lock is known to be a plain (non-reentrant) ``threading.Lock``;
-* **LO003** — a ``# requires-lock: X`` method that acquires ``self.X``
-  itself (directly or through a one-level callee): the annotation says
-  the caller holds it, so the acquisition self-deadlocks.
+Lock discipline, class by class (``__init__`` / ``__post_init__`` /
+``__new__`` are exempt — the object is not shared yet):
 
-Lock identity and edge discovery (deliberately approximate, tuned for
-zero false positives on this codebase):
+* **LD001** — ``self.f = ...``, ``self.f += ...``, ``self.f[k] = ...``
+  or ``del self.f[k]`` on a guarded field without its lock;
+* **LD002** — a mutator call ``self.f.<m>(...)`` (``program.MUTATORS``)
+  on a guarded field without its lock;
+* **LD003** — ``self.m()`` on a ``requires-lock`` method without its
+  lock;
+* **LD004** — an annotation naming a lock that neither the class nor a
+  base class the program defines ever assigns.
 
-* ``with self.X:`` inside class ``C`` is the lock node ``C.X``; when
-  ``__init__`` assigns ``self.attr = OtherClass(...)`` the path
-  ``self.attr.Y`` resolves to ``OtherClass.Y`` (the BlockManager →
-  CacheStats nesting); module-level locks become ``module:<name>``;
-* a ``# requires-lock: X`` method starts with ``C.X`` held;
-* holding L and calling ``self.m()`` adds edges from L to every lock
-  ``m`` acquires; calling ``obj.m()`` resolves ``m`` by name when
-  exactly one class in the program defines a lock-acquiring method of
-  that name; a lambda argument passed to such a callee contributes the
-  locks *it* acquires (through its own calls) as edges from the
-  callee's locks — the ``registry.acquire(store, ordinal, builder)``
-  pattern;
-* closures are analyzed with an empty held set (they may run after the
-  enclosing ``with`` released the lock), exactly like the LD rules.
+Writes through a local alias (``zones = self._zones``) are invisible,
+which is why the hot loops that alias are ``requires-lock`` methods or
+hold the lock around the aliasing block.
+
+Lock ordering, over the global acquisition graph. ``create_index`` runs
+a builder under the bitmap registry lock, the builder takes each
+partition's append lock, and the bitmap index records rows under its
+own lock — a chain across three modules; a chain elsewhere in the
+opposite order is a deadlock no tier-1 test reliably produces:
+
+* **LO001** — a cycle: A held while acquiring B somewhere, and B while
+  acquiring A somewhere else;
+* **LO002** — re-acquiring a held plain (non-reentrant) ``Lock``;
+* **LO003** — a ``requires-lock: X`` method acquiring ``self.X`` itself
+  (directly or through a one-level self-call): a self-deadlock.
+
+Lock identity and edges (deliberately approximate, tuned for zero false
+positives on this codebase): ``with self.X:`` in class ``C`` is the node
+``C.X``; ``self.attr.Y`` resolves to ``Other.Y`` when a method assigns
+``self.attr = Other(...)``; module-level locks are ``module:<name>``.
+Holding L while calling ``self.m()`` adds edges from L to every lock
+``m`` acquires; ``obj.m()`` resolves when exactly one class defines a
+lock-acquiring ``m`` (builtin container names never resolve); a lambda
+passed to such a callee adds edges from the callee's locks to the locks
+the lambda's own callees acquire — the
+``registry.acquire(store, ordinal, builder)`` pattern.
 """
 
 from __future__ import annotations
@@ -41,8 +56,11 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.program import ParsedModule, Program
+from repro.analysis.program import MUTATORS, ParsedModule, Program, base_names
 from repro.analysis.report import Violation
+
+#: Methods exempt from the LD rules (the object is not shared yet).
+_UNSHARED = frozenset({"__init__", "__post_init__", "__new__"})
 
 #: Constructors that create *reentrant* synchronization objects —
 #: re-acquiring one of these while held is legal, so LO002 skips them.
@@ -102,6 +120,22 @@ def _attr_path(node: ast.expr) -> list[str] | None:
     return None
 
 
+def _self_field(node: ast.expr) -> str | None:
+    """``self.f`` / ``self.f[k]`` (any subscript depth) → ``"f"``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    path = _attr_path(node)
+    if path and len(path) == 2 and path[0] == "self":
+        return path[1]
+    return None
+
+
+def _targets(node: ast.stmt) -> list[ast.expr]:
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        return node.targets
+    return [node.target]
+
+
 @dataclass
 class _Acquisition:
     lock: str
@@ -121,6 +155,17 @@ class _CallSite:
 
 
 @dataclass
+class _Write:
+    """A write through ``self``: an assignment or ``del`` target, or a
+    mutator call ``self.attr.<mutator>(...)``."""
+
+    attr: str
+    lineno: int
+    held: frozenset[str]
+    mutator: str | None = None
+
+
+@dataclass
 class _MethodFacts:
     qualname: str          # Class.method
     cls: str
@@ -130,6 +175,7 @@ class _MethodFacts:
     requires: str | None   # lock attr from # requires-lock
     acquisitions: list[_Acquisition] = field(default_factory=list)
     calls: list[_CallSite] = field(default_factory=list)
+    writes: list[_Write] = field(default_factory=list)
 
     @property
     def acquired_locks(self) -> frozenset[str]:
@@ -152,6 +198,11 @@ class _ClassScanner(ast.NodeVisitor):
         self.lock_kinds: dict[str, str] = {}
         #: attr name → program class it is an instance of.
         self.attr_types: dict[str, str] = {}
+        #: Every attribute the class body or a method assigns.
+        self.defined: set[str] = set()
+        #: field → lock attr, from ``# guarded-by``.
+        self.guarded: dict[str, str] = {}
+        self.bases = base_names(cls)
         self.methods: list[_MethodFacts] = []
         self._collect_attrs()
         self._collect_methods()
@@ -161,23 +212,27 @@ class _ClassScanner(ast.NodeVisitor):
     def _collect_attrs(self) -> None:
         for stmt in self.cls.body:
             if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                value = stmt.value
-                targets = (
-                    stmt.targets if isinstance(stmt, ast.Assign)
-                    else [stmt.target]
-                )
-                for target in targets:
-                    if isinstance(target, ast.Name) and value is not None:
-                        self._note_attr(target.id, value)
+                for target in _targets(stmt):
+                    if isinstance(target, ast.Name):
+                        self._declare(target.id, stmt)
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(stmt):
-                    if not isinstance(node, ast.Assign):
+                    if not isinstance(
+                        node, (ast.Assign, ast.AnnAssign, ast.AugAssign)
+                    ):
                         continue
-                    for target in node.targets:
+                    for target in _targets(node):
                         path = _attr_path(target)
                         if path and len(path) == 2 and path[0] == "self":
-                            if node.value is not None:
-                                self._note_attr(path[1], node.value)
+                            self._declare(path[1], node)
+
+    def _declare(self, attr: str, node: ast.stmt) -> None:
+        self.defined.add(attr)
+        ann = self.module.annotations.get(node.lineno)
+        if ann and ann[0] == "guarded-by":
+            self.guarded[attr] = ann[1]
+        if not isinstance(node, ast.AugAssign) and node.value is not None:
+            self._note_attr(attr, node.value)
 
     def _note_attr(self, attr: str, value: ast.expr) -> None:
         kind = _lock_kind(value)
@@ -250,7 +305,13 @@ class _ClassScanner(ast.NodeVisitor):
             for child in body:
                 self._walk(child, frozenset(), facts)
             return
-        if isinstance(node, ast.Call):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign,
+                             ast.Delete)):
+            for target in _targets(node):
+                name = _self_field(target)
+                if name is not None:
+                    facts.writes.append(_Write(name, node.lineno, held))
+        elif isinstance(node, ast.Call):
             self._note_call(node, held, facts)
         for child in ast.iter_child_nodes(node):
             self._walk(child, held, facts)
@@ -262,6 +323,11 @@ class _ClassScanner(ast.NodeVisitor):
             return
         receiver = func.value
         on_self = isinstance(receiver, ast.Name) and receiver.id == "self"
+        mutated = _self_field(receiver) if func.attr in MUTATORS else None
+        if mutated is not None:
+            facts.writes.append(
+                _Write(mutated, node.lineno, held, mutator=func.attr)
+            )
         lambda_callees: list[str] = []
         for arg in list(node.args) + [kw.value for kw in node.keywords]:
             if isinstance(arg, ast.Lambda):
@@ -295,6 +361,10 @@ class LockGraph:
 
     def __init__(self, program: Program):
         self.program = program
+        #: One scanner per class, nested classes included.
+        self.scanners: list[_ClassScanner] = []
+        #: class name → scanners of every class so named.
+        self.classes: dict[str, list[_ClassScanner]] = {}
         self.methods: list[_MethodFacts] = []
         #: Class.method → facts.
         self.by_qualname: dict[str, _MethodFacts] = {}
@@ -308,12 +378,12 @@ class LockGraph:
     # -- construction ----------------------------------------------------
 
     def _build(self) -> None:
-        class_names: set[str] = set()
-        for module in self.program:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.ClassDef):
-                    class_names.add(node.name)
-        scanners: list[_ClassScanner] = []
+        class_names = {
+            node.name
+            for module in self.program
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.ClassDef)
+        }
         for module in self.program:
             module_locks = {
                 target.id
@@ -323,14 +393,15 @@ class LockGraph:
                 for target in stmt.targets
                 if isinstance(target, ast.Name)
             }
-            for node in module.tree.body:
+            for node in ast.walk(module.tree):
                 if isinstance(node, ast.ClassDef):
                     scanner = _ClassScanner(module, node, class_names,
                                             module_locks)
-                    scanners.append(scanner)
+                    self.scanners.append(scanner)
+                    self.classes.setdefault(node.name, []).append(scanner)
                     for attr, kind in scanner.lock_kinds.items():
                         self.lock_kinds[f"{node.name}.{attr}"] = kind
-        for scanner in scanners:
+        for scanner in self.scanners:
             for facts in scanner.methods:
                 self.methods.append(facts)
                 self.by_qualname[facts.qualname] = facts
@@ -386,6 +457,21 @@ class LockGraph:
             return candidates[0]
         return None
 
+    def known_attrs(self, scanner: _ClassScanner) -> set[str]:
+        """Attributes the class or any base class the program defines
+        assigns (bases resolve by name)."""
+        known = set(scanner.defined)
+        pending, seen = list(scanner.bases), set()
+        while pending:
+            name = pending.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            for base in self.classes.get(name, ()):
+                known |= base.defined
+                pending.extend(base.bases)
+        return known
+
     def _edge(self, src: str, dst: str, facts: _MethodFacts, lineno: int,
               why: str) -> None:
         if src == dst:
@@ -420,9 +506,59 @@ class LockGraph:
         return found
 
 
+def _check_discipline(graph: LockGraph, scanner: _ClassScanner,
+                      out: list[Violation]) -> None:
+    """LD001–LD004 for one class."""
+    cls, module = scanner.cls.name, scanner.module
+    known = graph.known_attrs(scanner)
+    for name, lock in sorted(scanner.guarded.items()):
+        if lock not in known:
+            module.report(
+                out, "LD004", scanner.cls.lineno,
+                f"{cls}.{name} is guarded by unknown lock {lock!r} "
+                "(never assigned in the class or its bases)",
+            )
+    requires = {f.name: f.requires for f in scanner.methods if f.requires}
+    for method, lock in sorted(requires.items()):
+        if lock not in known:
+            module.report(
+                out, "LD004", scanner.cls.lineno,
+                f"{cls}.{method} requires unknown lock {lock!r}",
+            )
+    for facts in scanner.methods:
+        if facts.name in _UNSHARED:
+            continue
+        for write in facts.writes:
+            lock = scanner.guarded.get(write.attr)
+            if lock is None or f"{cls}.{lock}" in write.held:
+                continue
+            if write.mutator is None:
+                module.report(
+                    out, "LD001", write.lineno,
+                    f"write to {cls}.{write.attr} outside "
+                    f"`with self.{lock}:`",
+                )
+            else:
+                module.report(
+                    out, "LD002", write.lineno,
+                    f"{cls}.{write.attr}.{write.mutator}() outside "
+                    f"`with self.{lock}:`",
+                )
+        for call in facts.calls:
+            lock = requires.get(call.method) if call.on_self else None
+            if lock is not None and f"{cls}.{lock}" not in call.held:
+                module.report(
+                    out, "LD003", call.lineno,
+                    f"call to {cls}.{call.method}() without holding "
+                    f"self.{lock} (requires-lock)",
+                )
+
+
 def check_program(program: Program) -> list[Violation]:
     graph = LockGraph(program)
     violations: list[Violation] = []
+    for scanner in graph.scanners:
+        _check_discipline(graph, scanner, violations)
 
     # LO001 — acquisition cycles.
     for cycle in graph.cycles():

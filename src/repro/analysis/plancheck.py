@@ -37,8 +37,8 @@ adaptive/pruning machinery honest:
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
+from repro.analysis.program import ParsedModule, Program, base_names
 from repro.analysis.report import Violation
 
 PLACEMENTS = frozenset({"source", "narrow", "exchange", "driver"})
@@ -54,16 +54,6 @@ DRIVER_CALLS = frozenset({"collect", "take", "run_job"})
 PRUNING_MARKERS = ("zone_pruned", "key_routed", "batches_pruned")
 
 _BASE_CLASS = "PhysicalPlan"
-
-
-def _base_names(cls: ast.ClassDef) -> set[str]:
-    names: set[str] = set()
-    for base in cls.bases:
-        if isinstance(base, ast.Name):
-            names.add(base.id)
-        elif isinstance(base, ast.Attribute):
-            names.add(base.attr)
-    return names
 
 
 def _is_abstract(cls: ast.ClassDef) -> bool:
@@ -153,31 +143,22 @@ def _computed_partitioning(cls: ast.ClassDef) -> str:
     return "source"
 
 
-def _check_operator(cls: ast.ClassDef, path: str) -> list[Violation]:
-    violations: list[Violation] = []
-
+def _check_operator(module: ParsedModule, cls: ast.ClassDef,
+                    out: list[Violation]) -> None:
     declared, decl_line = _declared_partitioning(cls)
     if declared is None or declared not in PLACEMENTS:
-        violations.append(
-            Violation(
-                "PC001",
-                path,
-                decl_line,
-                f"{cls.name} must declare PARTITIONING as one of "
-                f"{sorted(PLACEMENTS)} (got {declared!r})",
-            )
+        module.report(
+            out, "PC001", decl_line,
+            f"{cls.name} must declare PARTITIONING as one of "
+            f"{sorted(PLACEMENTS)} (got {declared!r})",
         )
     else:
         computed = _computed_partitioning(cls)
         if declared != computed:
-            violations.append(
-                Violation(
-                    "PC002",
-                    path,
-                    decl_line,
-                    f"{cls.name} declares PARTITIONING={declared!r} but its "
-                    f"body implies {computed!r}",
-                )
+            module.report(
+                out, "PC002", decl_line,
+                f"{cls.name} declares PARTITIONING={declared!r} but its "
+                f"body implies {computed!r}",
             )
 
     describe = _method(cls, "describe")
@@ -185,25 +166,17 @@ def _check_operator(cls: ast.ClassDef, path: str) -> list[Violation]:
     pruner = _method(cls, "apply_pruning")
     if pruner is not None:
         if "record_scan" not in _called_attrs(pruner):
-            violations.append(
-                Violation(
-                    "PC003",
-                    path,
-                    pruner.lineno,
-                    f"{cls.name}.apply_pruning does not record its decision "
-                    "(no record_scan call)",
-                )
+            module.report(
+                out, "PC003", pruner.lineno,
+                f"{cls.name}.apply_pruning does not record its decision "
+                "(no record_scan call)",
             )
         markers: list[str] = _string_constants(describe) if describe else []
         if not any(m in text for text in markers for m in PRUNING_MARKERS):
-            violations.append(
-                Violation(
-                    "PC003",
-                    path,
-                    (describe or pruner).lineno,
-                    f"{cls.name} prunes but describe() emits none of the "
-                    f"markers {PRUNING_MARKERS}",
-                )
+            module.report(
+                out, "PC003", (describe or pruner).lineno,
+                f"{cls.name} prunes but describe() emits none of the "
+                f"markers {PRUNING_MARKERS}",
             )
 
     if _assigns_attr(cls, "decision"):
@@ -212,46 +185,30 @@ def _check_operator(cls: ast.ClassDef, path: str) -> list[Violation]:
             or any("decision" in text for text in _string_constants(describe))
         )
         if not surfaced:
-            violations.append(
-                Violation(
-                    "PC004",
-                    path,
-                    cls.lineno,
-                    f"{cls.name} records a runtime decision but describe() "
-                    "never surfaces it",
-                )
+            module.report(
+                out, "PC004", cls.lineno,
+                f"{cls.name} records a runtime decision but describe() "
+                "never surfaces it",
             )
 
     calls = _called_attrs(cls)
     if "partition_by" in calls and "map_partitions_with_index" not in calls:
-        violations.append(
-            Violation(
-                "PC005",
-                path,
-                cls.lineno,
-                f"{cls.name} produces partition_by placement but never "
-                "consumes it partition-locally (no map_partitions_with_index)",
-            )
+        module.report(
+            out, "PC005", cls.lineno,
+            f"{cls.name} produces partition_by placement but never "
+            "consumes it partition-locally (no map_partitions_with_index)",
         )
 
-    return violations
 
-
-def check_source(source: str, path: str = "<string>") -> list[Violation]:
-    """Run the plan-contract rules over one module's source."""
-    tree = ast.parse(source)
+def check_program(program: Program) -> list[Violation]:
     violations: list[Violation] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if node.name == _BASE_CLASS or _BASE_CLASS not in _base_names(node):
-            continue
-        if _is_abstract(node):
-            continue
-        violations.extend(_check_operator(node, path))
+    for module in program:
+        for node in ast.walk(module.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if node.name == _BASE_CLASS or _BASE_CLASS not in base_names(node):
+                continue
+            if _is_abstract(node):
+                continue
+            _check_operator(module, node, violations)
     return violations
-
-
-def check_file(path: str | Path) -> list[Violation]:
-    path = Path(path)
-    return check_source(path.read_text(encoding="utf-8"), str(path))

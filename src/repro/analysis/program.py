@@ -1,27 +1,25 @@
-"""Whole-program facts shared by the cross-module rule families.
+"""Whole-program facts shared by every ``*.py`` rule family.
 
-The PR 4 analyzers (lock discipline, plan contracts, generated-code
-rules) are file-local: each file is parsed, checked, and forgotten.
-The contract families added on top of them — lock ordering (LO),
-exception taxonomy (ET), cancellation-poll coverage (CP), fault-site
-cross-checks (FS), and process-boundary escape analysis (XP) — need
-facts *across* modules: the global lock-acquisition graph, the
-scheduler's transient-retry set, the fault-site registry, the codec's
-shipped classes. This module provides the single-parse pass they
-share:
+Every rule family that reads Python source — lock discipline and lock
+ordering (LD, LO), plan contracts (PC), exception taxonomy (ET),
+cancellation-poll coverage (CP), fault-site cross-checks (FS), and
+process-boundary escape analysis (XP) — runs over one parse of the
+analyzed tree. Some need facts *across* modules: the global
+lock-acquisition graph, a lock inherited from a base class in another
+module, the scheduler's transient-retry set, the fault-site registry.
+This module provides that single-parse pass:
 
 * :class:`ParsedModule` — one source file parsed once: AST, raw lines,
-  the PR 4 ``guarded-by`` / ``requires-lock`` annotations, ``# lint:
+  the ``guarded-by`` / ``requires-lock`` annotations, ``# lint:
   allow[...]`` suppressions (with their justifications), and the
-  ``# analysis: <marker>`` obligations introduced by this pass;
+  ``# analysis: <marker>`` obligations;
 * :class:`Program` — the collection of parsed modules plus the lookup
   helpers rule families use (module by path suffix, marker queries).
 
-Suppression contract for the new families: an inline allow for an
-``LO``/``ET``/``CP``/``FS``/``XP`` rule **must** carry a justification
-(``# lint: allow[ET002] -- ships the error to the driver``). An allow
-without one does not suppress — intentional exceptions must say why,
-in the code, where the next reader needs it.
+Suppression contract, one for every family: an inline allow **must**
+carry a justification (``# lint: allow[ET002] -- ships the error to
+the driver``). An allow without one does not suppress — intentional
+exceptions must say why, in the code, where the next reader needs it.
 
 Marker comments (machine-readable obligations, not suppressions):
 
@@ -51,12 +49,28 @@ _ALLOW_RE = re.compile(
 )
 _MARKER_RE = re.compile(r"#\s*analysis:\s*([a-z-]+)")
 
-#: Rule families introduced by the whole-program pass. Their inline
-#: allows require a justification; the PR 4 families keep the original
-#: bare ``# lint: allow[LD001]`` form.
-PROGRAM_FAMILIES = ("LO", "ET", "CP", "FS", "XP")
-
 KNOWN_MARKERS = frozenset({"poll-obligated", "worker-side", "shipped"})
+
+#: Method names that mutate their receiver: builtin containers plus the
+#: domain structures the engine guards and ships (zone maps, bitmaps,
+#: row batches, WAL segments). LD002 and XP002 both read this set.
+MUTATORS = frozenset(
+    {"append", "extend", "insert", "remove", "pop", "popitem", "clear",
+     "update", "add", "discard", "setdefault", "sort", "reverse",
+     "update_row", "merge", "readonly_snapshot", "seal", "record",
+     "rotate", "truncate"}
+)
+
+
+def base_names(cls: ast.ClassDef) -> set[str]:
+    """``class C(a.B, D)`` → ``{"B", "D"}``."""
+    names: set[str] = set()
+    for base in cls.bases:
+        if isinstance(base, ast.Name):
+            names.add(base.id)
+        elif isinstance(base, ast.Attribute):
+            names.add(base.attr)
+    return names
 
 
 @dataclass(frozen=True)
@@ -67,11 +81,7 @@ class Allow:
     justification: str | None
 
     def suppresses(self, rule: str) -> bool:
-        if rule not in self.rules:
-            return False
-        if rule[:2] in PROGRAM_FAMILIES and not self.justification:
-            return False
-        return True
+        return rule in self.rules and bool(self.justification)
 
 
 @dataclass

@@ -44,9 +44,6 @@ class ClusterShuffleManager(ShuffleManager):
         self, spill_root: str, injector=None, rpc_max_retries: int = 2
     ) -> None:
         super().__init__(injector)
-        # Re-bind the base class's registry lock so the (per-class)
-        # lock-discipline analyzer can resolve the annotations below.
-        self._lock = self._lock
         self.spill_root = spill_root
         self.rpc_max_retries = rpc_max_retries
         self._states: dict[int, _ClusterShuffleState] = {}  # guarded-by: _lock

@@ -424,11 +424,9 @@ class DAGScheduler:
         for _ in range(len(dead)):
             self._shuffles.remove_shuffle(dead.popleft())
 
-    def _drop_incomplete_shuffles(
+    def _drop_incomplete_shuffles(  # requires-lock: _job_lock
         self, lineage: dict[int, ShuffleDependency]
     ) -> None:
-        # Caller holds _job_lock (acquired explicitly in run_job, so a
-        # textual with-block annotation cannot express it).
         for shuffle_id in lineage:
             if not self._shuffles.is_complete(shuffle_id):
                 self._shuffles.remove_shuffle(shuffle_id)

@@ -1,8 +1,8 @@
-"""Unit tests for the whole-program rule families (LO/ET/CP/FS/XP).
+"""Unit tests for the cross-module rule families (LO/ET/CP/FS/XP).
 
 Each family is exercised through ``check_paths`` on small synthetic
 modules written to ``tmp_path``, isolated with ``--select`` semantics
-so the file-local LD/PC rules stay out of the assertions. The seeded
+so the other families stay out of the assertions. The seeded
 ``bad_*`` fixtures are covered end-to-end in ``test_cli.py``; here we
 pin the *boundaries*: what must fire, what must stay silent, and that
 the analyzer survives edge-case shapes without crashing.
@@ -88,7 +88,7 @@ class TestLockOrdering:
     def test_cross_class_cycle_via_unique_method_name(self, tmp_path):
         # Holding A's lock while calling B.ingest (which takes B's
         # lock), and vice versa via B.drain -> A.offer: a two-module
-        # deadlock no file-local rule can see.
+        # deadlock no single-module view can see.
         found = run_rules(
             tmp_path,
             """
@@ -579,6 +579,21 @@ def test_edge_case_module_is_clean_and_does_not_crash(tmp_path):
     path = tmp_path / "edge_cases.py"
     path.write_text(EDGE_CASES, encoding="utf-8")
     assert check_paths([str(path)]) == []
+
+
+def test_every_file_is_parsed_once(monkeypatch):
+    import ast
+
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, *args, **kwargs):
+        parsed.append(source)
+        return real_parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    check_paths(["src/repro"])
+    assert len(parsed) == len(list(Path("src/repro").rglob("*.py")))
 
 
 def test_shipped_tree_is_clean_for_program_families():
