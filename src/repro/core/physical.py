@@ -308,9 +308,10 @@ class GuardedIndexExec(PhysicalPlan):
     """Graceful degradation around an indexed operator.
 
     Executes the indexed plan eagerly (so runtime failures — not just
-    planning failures — are observable here); if it fails with any
-    library error, records the fallback in the scheduler metrics and
-    re-executes through the vanilla plan built by ``fallback_factory``.
+    planning failures — are observable here) and returns its rows as
+    one partition; if it fails with any library error, records the
+    fallback in the scheduler metrics and re-executes through the
+    vanilla plan built by ``fallback_factory``.
     The fallback is built lazily: the healthy path never plans it.
 
     The output attributes are the primary's, so downstream operators
@@ -351,8 +352,9 @@ class GuardedIndexExec(PhysicalPlan):
             return self.fallback_factory().execute()
         if breaker is not None:
             breaker.record_success()
-        parts = min(max(1, len(rows)), self.ctx.config.default_parallelism)
-        return self.ctx.parallelize(rows, parts)
+        # The rows are already on the driver: splitting them again only
+        # adds tasks (and, on workers, ships them out to be counted).
+        return self.ctx.parallelize(rows, 1)
 
     def describe(self) -> str:
         return f"GuardedIndex[{self.label}]"

@@ -317,9 +317,17 @@ class RDD(ABC):
         The input is materialized once up front: sampling the key
         distribution and then shuffling must not recompute the (maybe
         expensive) upstream lineage twice.
+
+        One input partition is already a single range: it is sorted in
+        place, by a narrow transformation that starts no job (Spark's
+        ``SinglePartition`` satisfies any ordered distribution).
         """
         from repro.engine.partitioner import RangePartitioner
 
+        if self.num_partitions == 1:
+            return self.map_partitions(
+                lambda it: iter(sorted(it, key=key_fn, reverse=not ascending))
+            )
         n = num_partitions or self.context.config.shuffle_partitions
         parts = self.context.run_job(self, list)
         data = ParallelCollectionRDD.from_partitions(self.context, parts)

@@ -35,7 +35,6 @@ from repro.serving.context import QueryContext, activate, deactivate
 from repro.serving.memory import MemoryGovernor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sql.dataframe import DataFrame
     from repro.sql.session import Session
 
 
@@ -158,7 +157,9 @@ class ServingRuntime:
             token = activate(query)
             try:
                 df = self._session.sql(text)
-                physical = self._plan(df)
+                # Planned as DataFrame actions plan (through the plan
+                # cache), so last_execution_plan() shows runtime markers.
+                physical = df._physical()
                 query.check()
                 rows = physical.execute().collect()
             finally:
@@ -199,20 +200,6 @@ class ServingRuntime:
         for query in active:
             query.cancel(reason)
         return len(active)
-
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-
-    def _plan(self, df: "DataFrame") -> Any:
-        session = self._session
-        analyzed = df.analyzed_plan()
-        optimized = session.optimize_plan(analyzed)
-        physical = session.planner.plan(optimized)
-        # Mirror DataFrame._execute: runtime markers stay inspectable
-        # through last_execution_plan().
-        df._last_physical = physical
-        return physical
 
     # ------------------------------------------------------------------
 

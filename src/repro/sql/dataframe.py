@@ -2,7 +2,9 @@
 
 A DataFrame is an immutable handle on a logical plan plus the session
 that can execute it. Transformations build new plans lazily; actions
-run the full pipeline (analyze → optimize → plan → execute on RDDs).
+run the full pipeline (analyze → optimize → plan → execute on RDDs),
+where a repeated query shape skips analysis and the standard optimizer
+batches through the session's plan cache.
 
 ``cache()`` materializes the result into a **columnar** in-memory
 relation — exactly what Spark's DataFrame cache does, and the baseline
@@ -42,6 +44,7 @@ from repro.sql.relation import ColumnarRelation
 from repro.sql.types import Row, StructType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sql.physical import PhysicalPlan
     from repro.sql.session import Session
 
 
@@ -105,7 +108,7 @@ class DataFrame:
         planner's row estimate (the numbers broadcast decisions use).
         """
         analyzed = self.analyzed_plan()
-        optimized = self.session.optimize_plan(analyzed)
+        optimized = self.session.optimize_plan(self)
         physical = self.session.planner.plan(optimized)
         if cost:
             from repro.sql.planner import estimate_rows
@@ -234,14 +237,15 @@ class DataFrame:
     # Actions
     # ------------------------------------------------------------------
 
-    def _execute(self):
-        analyzed = self.analyzed_plan()
-        optimized = self.session.optimize_plan(analyzed)
-        physical = self.session.planner.plan(optimized)
+    def _physical(self) -> "PhysicalPlan":
+        physical = self.session.planner.plan(self.session.optimize_plan(self))
         # Retained so runtime-adaptive markers (join decisions, pruning
         # counters) are inspectable after the action completes.
         self._last_physical = physical
-        return physical.execute()
+        return physical
+
+    def _execute(self):
+        return self._physical().execute()
 
     def last_execution_plan(self) -> str | None:
         """The physical plan of the most recent action, including
@@ -251,8 +255,11 @@ class DataFrame:
         return None if physical is None else physical.pretty()
 
     def collect(self) -> list[Row]:
-        schema = self.schema
-        return [Row(t, schema) for t in self._execute().collect()]
+        # The schema comes from the executed plan, not from analysis: a
+        # plan-cache hit analyzes nothing.
+        physical = self._physical()
+        schema = physical.schema
+        return [Row(t, schema) for t in physical.execute().collect()]
 
     def collect_tuples(self) -> list[tuple]:
         """Collect raw tuples (cheaper than Row wrapping; used by
@@ -263,8 +270,9 @@ class DataFrame:
         return self._execute().count()
 
     def take(self, n: int) -> list[Row]:
-        schema = self.schema
-        return [Row(t, schema) for t in self._execute().take(n)]
+        physical = self._physical()
+        schema = physical.schema
+        return [Row(t, schema) for t in physical.execute().take(n)]
 
     def first(self) -> Row | None:
         rows = self.take(1)

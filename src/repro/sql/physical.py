@@ -33,6 +33,7 @@ from repro.sql.expressions import (
     strip_alias,
 )
 from repro.sql.relation import BaseRelation
+from repro.sql.types import StructField, StructType
 from repro.stats import extract_pruning_predicates
 
 
@@ -70,6 +71,10 @@ class PhysicalPlan:
     def __init__(self, ctx: EngineContext, output: Sequence[Attribute]):
         self.ctx = ctx
         self.output = list(output)
+
+    @property
+    def schema(self) -> StructType:
+        return StructType([StructField(a.name, a.dtype, a.nullable) for a in self.output])
 
     def execute(self) -> RDD:
         raise NotImplementedError
@@ -307,6 +312,42 @@ class _SortKey:
         return hash(self.values)
 
 
+def _bind_orders(
+    orders: Sequence[SortOrder], input_attrs: Sequence[Attribute]
+) -> list[SortOrder]:
+    return [
+        SortOrder(bind_expression(o.child, input_attrs), o.ascending, o.nulls_first)
+        for o in orders
+    ]
+
+
+def _sort_key_fn(
+    orders: Sequence[SortOrder], codegen_enabled: bool
+) -> Callable[[tuple], _SortKey]:
+    """The composite sort key of bound ``orders``: ascending order of
+    the key is the requested row order, nulls placed as asked."""
+    getters = [
+        (codegen.value_fn(o.child, codegen_enabled), o.ascending, o.nulls_first)
+        for o in orders
+    ]
+
+    def key(row: tuple) -> _SortKey:
+        parts = []
+        for get, ascending, nulls_first in getters:
+            value = get(row)
+            if value is None:
+                # Null ordering: a leading rank keeps None comparable.
+                rank = 0 if nulls_first == ascending else 2
+                parts.append((rank, 0))
+            else:
+                if not ascending:
+                    value = _Reversed(value)
+                parts.append((1, value))
+        return _SortKey(tuple(parts))
+
+    return key
+
+
 class SortExec(PhysicalPlan):
     """Total sort: range partition on the composite key, sort locally."""
 
@@ -315,38 +356,11 @@ class SortExec(PhysicalPlan):
     def __init__(self, orders: Sequence[SortOrder], child: PhysicalPlan):
         super().__init__(child.ctx, child.output)
         self.children = (child,)
-        self.orders = [
-            SortOrder(
-                bind_expression(o.child, child.output), o.ascending, o.nulls_first
-            )
-            for o in orders
-        ]
-
-    def _key_fn(self) -> Callable[[tuple], _SortKey]:
-        enabled = self.ctx.config.codegen_enabled
-        getters = [
-            (codegen.value_fn(o.child, enabled), o.ascending, o.nulls_first)
-            for o in self.orders
-        ]
-
-        def key(row: tuple) -> _SortKey:
-            parts = []
-            for get, ascending, nulls_first in getters:
-                value = get(row)
-                if value is None:
-                    # Null ordering: a leading rank keeps None comparable.
-                    rank = 0 if nulls_first == ascending else 2
-                    parts.append((rank, 0))
-                else:
-                    if not ascending:
-                        value = _Reversed(value)
-                    parts.append((1, value))
-            return _SortKey(tuple(parts))
-
-        return key
+        self.orders = _bind_orders(orders, child.output)
 
     def execute(self) -> RDD:
-        return self.children[0].execute().sort_by(self._key_fn())
+        key_fn = _sort_key_fn(self.orders, self.ctx.config.codegen_enabled)
+        return self.children[0].execute().sort_by(key_fn)
 
     def describe(self) -> str:
         return f"Sort{self.orders}"
@@ -367,7 +381,7 @@ class TakeOrderedExec(PhysicalPlan):
         super().__init__(child.ctx, child.output)
         self.children = (child,)
         self.n = n
-        self._sorter = SortExec(orders, child)  # reuse its key function
+        self.orders = _bind_orders(orders, child.output)
 
     def execute(self) -> RDD:
         import heapq
@@ -375,7 +389,7 @@ class TakeOrderedExec(PhysicalPlan):
         n = self.n
         if n == 0:
             return self.ctx.parallelize([], 1)
-        key_fn = self._sorter._key_fn()
+        key_fn = _sort_key_fn(self.orders, self.ctx.config.codegen_enabled)
 
         def local_top(rows: Iterator[tuple]) -> Iterator[tuple]:
             return iter(heapq.nsmallest(n, rows, key=key_fn))

@@ -1,12 +1,34 @@
-"""Plan cache: memoized logical optimization with parameter slots.
+"""Plan cache: memoized analysis and logical optimization with
+parameter slots.
 
 Low-latency serving repeats the same query shapes with different
-constants (``WHERE id = ?``), and logical optimization — a dozen rules
-run to fixed point over the whole tree — is pure overhead the second
-time around. This cache memoizes the *standard-batch* optimized plan
-keyed by a fingerprint of the analyzed plan, with comparison literals
-masked out as parameter slots so ``id = 5`` and ``id = 7`` share one
-template.
+constants (``WHERE id = ?``), and analysis plus logical optimization —
+resolution passes and a dozen rules run to fixed point over the whole
+tree — are pure overhead the second time around. This cache memoizes
+the *standard-batch* optimized plan keyed by a fingerprint of **the
+plan as built** (after table resolution, before analysis), with
+comparison literals masked out as parameter slots so ``id = 5`` and
+``id = 7`` share one template. A hit therefore skips the analyzer as
+well as the standard batches; only a miss analyses, and it analyses the
+very tree it fingerprinted, so the template's slot literals and leaves
+are linked to the fingerprint by identity.
+
+Keying before analysis is sound because analysis is a deterministic
+function of the table-resolved tree:
+
+* Everything that is not a function of the tree happens before the
+  walk, in :meth:`~repro.sql.session.Session.resolve_tables`: catalog
+  lookups, fresh relation instances (and their attribute ids), and the
+  desugaring of ``IN (SELECT ...)`` into semi/anti joins.
+* Unresolved names (with their qualifiers), stars and functions
+  fingerprint by value, and so do resolved attributes' names and
+  qualifiers — the inputs name resolution reads.
+* The analyzer reads a literal's *value* in two places only: it names
+  an unnamed select-list item after its text, and it matches GROUP BY
+  expressions against the select list by value. So no literal under a
+  ``Project`` or ``Aggregate`` is ever a slot; those key by value.
+* A shape that fails analysis is never inserted, so every execution of
+  it analyses afresh and raises again.
 
 Scope is deliberately the standard batches only: the extensions batch
 (the index-aware rewrites) bakes literal values and MVCC versions into
@@ -30,7 +52,8 @@ Soundness of slot masking:
 
 * Only a :class:`~repro.sql.expressions.Literal` that is the *direct
   child* of a :class:`~repro.sql.expressions.BinaryComparison` with
-  exactly one literal side is a slot. No standard rule's decision
+  exactly one literal side, outside any ``Project`` or ``Aggregate``
+  expression list, is a slot. No standard rule's decision
   depends on the *value* of such a literal, only on its presence —
   unless the other side folds to a literal too, in which case
   ``constant_folding`` consumes it.
@@ -70,17 +93,18 @@ from repro.sql.expressions import (
     Expression,
     Literal,
 )
-from repro.sql.logical import LogicalPlan, VersionedLeaf
+from repro.sql.logical import Aggregate, LogicalPlan, Project, VersionedLeaf
 from repro.sql.relation import BaseRelation
 
 
 class Fingerprint:
-    """What one walk of an analyzed plan yields (and accumulates in)."""
+    """What one walk of a table-resolved plan yields (and accumulates in)."""
 
-    __slots__ = ("key", "slots", "leaves", "tokens", "pins", "_expr_ids")
+    __slots__ = ("key", "slots", "leaves", "tokens", "pins", "masking", "_expr_ids")
 
     def __init__(self) -> None:
         self.key: Any = None
+        self.masking = True  # off inside Project/Aggregate expression lists
         self.slots: list[Literal] = []  # eligible literals, walk order
         self.leaves: list[VersionedLeaf] = []  # versioned leaves, walk order
         self.tokens: list[tuple] = []  # their cache_token(), aligned
@@ -151,6 +175,7 @@ def _walk_expr(expr: Expression, state: Fingerprint, slot_ok: bool) -> Any:
             "attr",
             state.norm_expr_id(expr.expr_id),
             expr.name,
+            expr.qualifier,
             _scalar_token(expr.dtype),
             expr.nullable,
         )
@@ -158,7 +183,7 @@ def _walk_expr(expr: Expression, state: Fingerprint, slot_ok: bool) -> Any:
     if isinstance(expr, BinaryComparison) and len(children) == 2:
         # Exactly one literal side -> that literal is a parameter slot.
         literal_sides = sum(isinstance(c, Literal) for c in children)
-        child_ok = literal_sides == 1
+        child_ok = literal_sides == 1 and state.masking
     else:
         child_ok = False
     walked_children = tuple(
@@ -194,6 +219,10 @@ def _walk_plan(plan: LogicalPlan, state: Fingerprint) -> Any:
             tuple(_walk_expr(a, state, slot_ok=False) for a in plan.output()),
         )
     walked_children = tuple(_walk_plan(c, state) for c in plan.children)
+    masking = state.masking
+    # Analysis reads the values of literals in select lists (names,
+    # GROUP BY matching): key them by value.
+    state.masking = masking and not isinstance(plan, (Project, Aggregate))
     extras = tuple(
         (name, _walk_value(value, state))
         for name, value in _node_attrs(plan)
@@ -203,6 +232,7 @@ def _walk_plan(plan: LogicalPlan, state: Fingerprint) -> Any:
             and any(isinstance(v, LogicalPlan) for v in value)
         )
     )
+    state.masking = masking
     return ("p", type(plan).__name__, walked_children, extras)
 
 

@@ -115,24 +115,27 @@ class Session:
             else None
         )
 
-    def optimize_plan(self, analyzed: LogicalPlan) -> LogicalPlan:
-        """Optimize an analyzed plan, memoizing the standard batches.
+    def optimize_plan(self, df: DataFrame) -> LogicalPlan:
+        """Analyze and optimize a DataFrame's plan, memoizing the
+        analyzer and the standard batches.
 
-        The plan cache keys on a fingerprint of the analyzed tree with
-        comparison literals masked as parameter slots, so repeated
-        query shapes (``id = ?``) skip the rule fixed-point entirely.
-        The versions of indexed leaves are parameters as well, so the
-        shape survives appends. Extension rules always run fresh — they
-        bake literal values and MVCC versions into the plan (see
-        :mod:`repro.sql.plan_cache`).
+        The plan cache keys on a fingerprint of the plan as built
+        (tables resolved, nothing analyzed) with comparison literals
+        masked as parameter slots, so a repeated query shape
+        (``id = ?``) skips analysis and the rule fixed-point entirely;
+        only a miss analyzes. The versions of indexed leaves are
+        parameters as well, so the shape survives appends. Extension
+        rules always run fresh — they bake literal values and MVCC
+        versions into the plan (see :mod:`repro.sql.plan_cache`).
         """
+        resolved = self.resolve_tables(df.plan)
         cache = self.plan_cache
         if cache is None:
-            return self.optimizer.optimize(analyzed)
+            return self.optimizer.optimize(self.analyzer.analyze(resolved))
         from repro.sql.plan_cache import fingerprint
 
         metrics = self.ctx.scheduler.metrics
-        fp = fingerprint(analyzed)
+        fp = fingerprint(resolved)
         # Full-plan level: extension output (index rewrites with their
         # literal keys and MVCC versions baked in) memoized by exact
         # (shape, values, versions), so an append invalidates by
@@ -146,7 +149,9 @@ class Session:
         plan = cache.lookup(fp)
         if plan is None:
             metrics.bump("plan_cache_misses")
-            plan = self.optimizer.optimize_standard(analyzed)
+            # The tree just fingerprinted, so the template's slot
+            # literals and leaves are the fingerprint's by identity.
+            plan = self.optimizer.optimize_standard(self.analyzer.analyze(resolved))
             cache.insert(fp, plan)
         else:
             metrics.bump("plan_cache_hits")

@@ -152,6 +152,25 @@ class TestWideTransformations:
         # materializes before sampling).
         assert len(calls) == 50
 
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_one_partition_sort_matches_the_range_sort(self, ctx, ascending):
+        # Ties included: both paths keep equal keys in input order.
+        data = [(k % 7, i) for i, k in enumerate([5, 1, 4, 2, 3, 9, 7, 8, 6, 0] * 3)]
+        ranged = ctx.parallelize(data, 3).sort_by(lambda r: r[0], ascending)
+        local = ctx.parallelize(data, 1).sort_by(lambda r: r[0], ascending)
+        assert local.num_partitions == 1
+        assert local.collect() == ranged.collect() == sorted(
+            data, key=lambda r: r[0], reverse=not ascending
+        )
+
+    def test_one_partition_sort_starts_no_job(self, ctx):
+        jobs = ctx.scheduler.metrics.snapshot()["jobs"]
+        sorted_rdd = ctx.parallelize([3, 1, 2], 1).sort_by(lambda x: x)
+        assert ctx.scheduler.metrics.snapshot()["jobs"] == jobs
+        ctx.parallelize([3, 1, 2], 2).sort_by(lambda x: x)  # materializes, samples
+        assert ctx.scheduler.metrics.snapshot()["jobs"] > jobs
+        assert sorted_rdd.collect() == [1, 2, 3]
+
     def test_count_by_key(self, ctx):
         pairs = ctx.parallelize([(1, "x"), (1, "y"), (2, "z")], 2)
         assert pairs.count_by_key() == {1: 2, 2: 1}

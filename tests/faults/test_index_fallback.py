@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import create_index
+from repro.core.physical import GuardedIndexExec
 from repro.errors import ReproError, RetryExhaustedError
 from repro.faults import FaultProfile
 from repro.sql.functions import col
@@ -66,6 +67,35 @@ class TestLookupFallback:
         assert [tuple(r) for r in rows] == [("user23",)]
         assert session.ctx.scheduler.metrics.index_fallbacks >= 1
 
+
+
+def guard_of(session, df):
+    physical = session.planner.plan(session.optimize_plan(df))
+    assert isinstance(physical, GuardedIndexExec), physical
+    return physical
+
+
+class TestGuardOutput:
+    def test_indexed_rows_come_back_as_one_partition(self, make_session):
+        session = make_session(default_parallelism=4)
+        df = session.create_dataframe(
+            [(i, f"user{i}", 20 + i % 5) for i in range(60)], SCHEMA
+        )
+        by_age = create_index(df, "age")
+        rdd = guard_of(session, by_age.get_rows(22)).execute()
+        assert rdd.num_partitions == 1
+        assert sorted(r[0] for r in rdd.collect()) == list(range(2, 60, 5))
+
+    def test_probe_fault_still_falls_back_to_the_vanilla_rows(self, make_session):
+        session = make_session(
+            faults=FaultProfile(seed=5, index_probe_p=1.0),
+            task_max_retries=0,
+        )
+        indexed = make_indexed(session)
+        guard = guard_of(session, indexed.get_rows(17))
+        assert guard.execute().collect() == [(17, "user17", 22)]
+        assert guard.last_error is not None
+        assert session.ctx.scheduler.metrics.index_fallbacks == 1
 
 class TestJoinFallback:
     def test_dead_join_probe_degrades_to_vanilla_join(self, make_session):

@@ -23,6 +23,8 @@ from repro.sql.physical import (
     ProjectExec,
     SortExec,
     _AggSpec,
+    _bind_orders,
+    _sort_key_fn,
     bind_expression,
 )
 from repro.sql.types import LongType, StringType
@@ -91,6 +93,23 @@ class TestBasicOperators:
         child = local(ctx, rows, [a, b])
         out = SortExec([SortOrder(a, True), SortOrder(b, False)], child)
         assert out.execute().collect() == [(1, "b"), (1, "a"), (2, "b"), (2, "a")]
+
+    @pytest.mark.parametrize(
+        "nulls_first,expected",
+        [
+            (True, [(None, "c"), (None, "a"), (1, "b"), (1, "a"), (1, None), (2, "b"), (2, "a")]),
+            (False, [(1, None), (1, "b"), (1, "a"), (2, "b"), (2, "a"), (None, "c"), (None, "a")]),
+        ],
+    )
+    def test_one_partition_sort_matches_the_range_sort(self, ctx, nulls_first, expected):
+        a = Attribute("a", LongType())
+        b = Attribute("b", StringType())
+        rows = [(1, "b"), (None, "a"), (2, "a"), (1, None), (None, "c"), (2, "b"), (1, "a")]
+        orders = [SortOrder(a, True, nulls_first), SortOrder(b, False, nulls_first)]
+        key = _sort_key_fn(_bind_orders(orders, [a, b]), ctx.config.codegen_enabled)
+        in_place = ctx.parallelize(rows, 1).sort_by(key).collect()
+        assert in_place == ctx.parallelize(rows, 3).sort_by(key).collect() == expected
+        assert SortExec(orders, local(ctx, rows, [a, b])).execute().collect() == expected
 
 
 class TestAggSpec:

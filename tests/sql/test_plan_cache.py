@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import Config
 from repro.core import enable_indexing
+from repro.sql.functions import col
 from repro.sql.session import Session
 from tests.conftest import small_config
 
@@ -335,3 +336,116 @@ class TestVersionFreeTemplates:
             assert key(with_bitmap) == key(with_bitmap.append_rows(self.rows(31, 32)))
             other_store = self.indexed(s, self.rows(0, 30))
             assert key(idf) != key(other_store)
+
+
+class TestPlanAsBuilt:
+    """The cache keys on the plan as built (tables resolved, nothing
+    analyzed): a hit skips the analyzer too, so whatever analysis would
+    decide must already be in the key."""
+
+    @pytest.fixture()
+    def analyze_calls(self, monkeypatch):
+        from repro.sql.analysis import Analyzer
+
+        calls = []
+        original = Analyzer.analyze
+
+        def counting(self, plan):
+            calls.append(plan)
+            return original(self, plan)
+
+        monkeypatch.setattr(Analyzer, "analyze", counting)
+        return calls
+
+    def test_template_hit_with_a_new_literal_analyzes_nothing(
+        self, cached_session, analyze_calls
+    ):
+        s = cached_session
+        assert s.sql("SELECT name FROM t WHERE id = 5").collect() == [("n0",)]
+        assert len(analyze_calls) == 1
+        rows = s.sql("SELECT name FROM t WHERE id = 7").collect()
+        assert rows == [("n2",)] and rows[0].name == "n2"
+        df = s.table("t").filter(col("id") == 3).select("name", "score")
+        assert df.collect() == [("n3", 4.5)]
+        assert s.table("t").filter(col("id") == 4).select("name", "score").first().score == 6.0
+        assert len(analyze_calls) == 2  # one per shape, none per hit
+        assert counters(s) == (2, 2)
+
+    def test_frames_differing_only_in_a_column_name_miss(self, cached_session):
+        s = cached_session
+        t = s.table("t")
+        assert t.filter(col("id") > 97).select("name").collect() == [("n3",), ("n4",)]
+        assert t.filter(col("score") > 97).select("name").collect() == [
+            (f"n{i % 5}",) for i in range(65, 100)
+        ]
+        assert counters(s) == (0, 2)
+
+    def test_frames_differing_only_in_a_qualifier_miss(self, cached_session):
+        from repro.errors import AnalysisError
+        from repro.sql.dataframe import DataFrame
+        from repro.sql.logical import Relation
+
+        s = cached_session
+        base = s.table("t").plan
+
+        def qualified(name):
+            attrs = [a.with_qualifier(name) for a in base.output()]
+            return DataFrame(s, Relation(base.relation, attrs))
+
+        a = qualified("a").filter(col("a.id") == 5).select("a.name")
+        assert a.collect() == [("n0",)]
+        b = qualified("b").filter(col("a.id") == 6).select("a.name")
+        with pytest.raises(AnalysisError):
+            b.collect()
+
+    def test_reregistered_view_misses_and_reads_the_new_rows(self, cached_session):
+        s = cached_session
+        assert s.sql("SELECT name FROM t WHERE id = 1").collect_tuples() == [("n1",)]
+        s.create_dataframe(
+            [(1, "fresh", 0.0)], [("id", "long"), ("name", "string"), ("score", "double")]
+        ).create_or_replace_temp_view("t")
+        assert s.sql("SELECT name FROM t WHERE id = 1").collect_tuples() == [("fresh",)]
+        assert counters(s) == (0, 2)
+
+    def test_shape_failing_analysis_raises_every_time_and_is_never_inserted(
+        self, cached_session
+    ):
+        from repro.errors import AnalysisError
+
+        s = cached_session
+        s.sql("SELECT name FROM t WHERE id = 1").collect_tuples()
+        size = len(s.plan_cache)
+        for value in (1, 1, 2):
+            with pytest.raises(AnalysisError):
+                s.sql(f"SELECT nope FROM t WHERE id = {value}").collect()
+            assert len(s.plan_cache) == size
+
+    def test_select_list_literals_key_by_value(self, cached_session):
+        """Analysis matches GROUP BY against the select list by value:
+        a literal there is never a slot, or this valid shape's entry
+        would answer for the invalid one."""
+        from repro.errors import AnalysisError
+
+        s = cached_session
+        q = "SELECT id > {v} AS f, count(*) AS c FROM t GROUP BY id > 5"
+        assert sorted(s.sql(q.format(v=5)).collect_tuples()) == [(False, 6), (True, 94)]
+        with pytest.raises(AnalysisError):
+            s.sql(q.format(v=6)).collect_tuples()
+
+    def test_join_of_two_instances_of_one_shape_matches_an_uncached_session(self):
+        def run(session, lo, hi):
+            t = session.table("t")
+            left = t.filter(col("id") < lo).select("id", "name")
+            right = t.filter(col("id") < hi).select("name", "score")
+            joined = left.join(right, on=left.col("name") == right.col("name"))
+            return sorted(joined.collect_tuples())
+
+        with Session(small_config()) as cached, Session(small_config(plan_cache_size=0)) as plain:
+            for s in (cached, plain):
+                s.create_dataframe(
+                    [(i, f"n{i % 5}", i * 1.5) for i in range(30)],
+                    [("id", "long"), ("name", "string"), ("score", "double")],
+                ).create_or_replace_temp_view("t")
+            for lo, hi in ((3, 12), (12, 3), (7, 7), (1, 30)):
+                assert run(cached, lo, hi) == run(plain, lo, hi), (lo, hi)
+            assert counters(cached) == (3, 1)
