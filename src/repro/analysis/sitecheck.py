@@ -39,7 +39,6 @@ _INJECTOR_METHODS = frozenset(
         "maybe_crash",
         "maybe_delay",
         "should_fire",
-        "should_fire_at",
         "choose",
     }
 )

@@ -194,8 +194,10 @@ class ProcessBackend(ExecutorBackend):
         #: was killed. Consumed by the dispatcher's death path to pick
         #: ClusterTimeoutError over WorkerLostError.
         self._fence_reasons: dict[tuple[int, int], str] = {}  # guarded-by: _lock
-        #: Per-split dispatch attempt counters for schedule draws
-        #: (reset at each job so schedules replay per job, not per run).
+        #: Per-split dispatch attempt counters for gray-failure draws
+        #: (reset at each job, so each job's first dispatch of a split
+        #: is attempt 0, the only one that may fire; the injector's
+        #: per-key count gives each job fresh draws).
         self._attempts: dict[int, int] = {}  # guarded-by: _lock
         self._stopped = False
         self._monitor: HeartbeatMonitor | None = None
@@ -221,15 +223,13 @@ class ProcessBackend(ExecutorBackend):
 
     @staticmethod
     def _strip_config(config):
-        """The config workers fork with: no nested executors, no fault
-        profile and no fault schedule (fault draws happen at dispatch on
-        the driver so seeded site streams advance exactly once per
-        logical event — workers only *obey* shipped directives)."""
+        """The config workers fork with: no nested executors and no
+        fault profile (fault draws happen at dispatch on the driver, so
+        each event is drawn exactly once — workers only *obey* shipped
+        directives)."""
         import dataclasses
 
-        return dataclasses.replace(
-            config, executors=0, faults=None, fault_schedule=None
-        )
+        return dataclasses.replace(config, executors=0, faults=None)
 
     # -- process lifecycle ---------------------------------------------
 
@@ -437,7 +437,7 @@ class ProcessBackend(ExecutorBackend):
     def run_task(
         self, task: Callable[[int], Any], split: int, prefer_healthy: bool = False
     ) -> Any:
-        if self._injector.should_fire("cluster.worker_crash"):
+        if self._injector.should_fire("cluster.worker_crash", split):
             # A crash directive instead of the task: the worker hard-
             # exits, the dispatcher raises WorkerLostError, and the
             # scheduler's transient-retry path re-runs the attempt.
@@ -480,25 +480,27 @@ class ProcessBackend(ExecutorBackend):
         return slot
 
     def _draw_chaos(self, envelope: dict, split: int) -> None:
-        """Draw the gray-failure schedule for this dispatch (driver-side
-        so a run's schedule replays bit-identically from its seed) and
-        ship the winning directive in the envelope. Sites are mutually
-        exclusive per dispatch — a worker cannot hang *and* drop."""
+        """Draw this dispatch's gray failures (driver-side, keyed by
+        split and per-job attempt, so a run replays bit-identically from
+        its seed) and ship the winning directive in the envelope. Sites
+        are mutually exclusive per dispatch — a worker cannot hang *and*
+        drop."""
         injector = self._injector
-        if injector.schedule is None:
+        profile = injector.profile
+        if profile is None:
             return
         with self._lock:
             attempt = self._attempts.get(split, 0)
             self._attempts[split] = attempt + 1
-        if injector.should_fire_at("cluster.hang", split, attempt):
+        if injector.should_fire("cluster.hang", split, attempt):
             envelope["chaos"] = "hang"
             self._bump("hangs_injected")
-        elif injector.should_fire_at("cluster.drop", split, attempt):
+        elif injector.should_fire("cluster.drop", split, attempt):
             envelope["chaos"] = "drop"
             self._bump("drops_injected")
-        elif injector.should_fire_at("cluster.delay", split, attempt):
+        elif injector.should_fire("cluster.delay", split, attempt):
             envelope["chaos"] = "delay"
-            envelope["chaos_delay_s"] = injector.schedule.delay_s
+            envelope["chaos_delay_s"] = profile.slow_delay_s
             self._bump("delays_injected")
 
     def suspect_slots(self) -> frozenset[int]:

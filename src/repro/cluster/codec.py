@@ -14,11 +14,11 @@ pickler (the cloudpickle idea, reduced to what this engine needs):
   the :class:`~repro.engine.context.EngineContext` becomes the worker's
   process-local context, the driver's
   :class:`~repro.faults.FaultInjector` becomes the worker's no-op
-  injector (fault draws happen on the driver so seeded streams stay
-  deterministic), accumulators become write-only proxies whose deltas
-  ride home in the reply envelope, and heavy leaf data (partition
-  snapshots, relations, broadcasts) becomes a shared-memory token
-  resolved by the :class:`~repro.cluster.shm.WorkerShipCache`.
+  injector (fault draws happen on the driver, once per event, so a
+  seeded run replays exactly), accumulators become write-only proxies
+  whose deltas ride home in the reply envelope, and heavy leaf data
+  (partition snapshots, relations, broadcasts) becomes a shared-memory
+  token resolved by the :class:`~repro.cluster.shm.WorkerShipCache`.
 
 Anything else unpicklable raises — and the process backend falls back
 to running that one task in-process, so exotic user closures degrade
@@ -123,8 +123,8 @@ class TaskPickler(pickle.Pickler):
             return ("ctx",)
         if isinstance(obj, FaultInjector):
             # Fault decisions are made at dispatch on the driver; the
-            # worker's injector is inert so seeded site streams draw
-            # exactly once per logical event.
+            # worker's injector is inert so each event is drawn exactly
+            # once.
             return ("injector",)
         if isinstance(obj, PartitionSnapshot):
             # Durable partitions ship as a WAL reference when possible:

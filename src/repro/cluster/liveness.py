@@ -30,11 +30,12 @@ that gap with Spark's heartbeat design:
   failure to :class:`~repro.errors.ClusterTimeoutError`. One death
   path means no monitor/dispatcher respawn race.
 
-Determinism hook: an armed ``cluster.heartbeat_miss`` schedule site is
-drawn **once per (slot, generation) at registration** (the generation
-is the attempt key), entirely driver-side — the monitor simply discards
-that generation's beats, so a perfectly healthy worker gets fenced and
-the chaos suite proves fencing never loses or duplicates rows.
+Determinism hook: an armed ``cluster.heartbeat_miss`` site is drawn
+**once per (slot, generation) at registration** (the slot is the
+partition key, ``generation - 1`` the attempt), entirely driver-side —
+the monitor simply discards that generation's beats, so a perfectly
+healthy worker gets fenced and the chaos suite proves fencing never
+loses or duplicates rows.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ class HeartbeatMonitor:
         say its first word."""
         health = _SlotHealth(slot_id, generation, conn, pid, time.monotonic())
         # Generations start at 1, so generation - 1 is the spawn attempt
-        # ordinal: with the default attempt_cap=1 only a slot's first
+        # ordinal: only attempt 0 fires, so only a slot's first
         # generation can be deafened, and the respawn beats clean —
         # fencing a healthy worker never livelocks.
-        health.deaf = self._injector.should_fire_at(
+        health.deaf = self._injector.should_fire(
             "cluster.heartbeat_miss", slot_id, max(generation - 1, 0)
         )
         with self._lock:

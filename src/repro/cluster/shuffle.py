@@ -125,9 +125,11 @@ class ClusterShuffleManager(ShuffleManager):
             state = self._states.get(shuffle_id)
             if state is None:
                 raise EngineError(f"shuffle {shuffle_id} was never registered")
-            if state.complete() and self._injector.should_fire("shuffle.fetch"):
+            if state.complete() and self._injector.should_fire(
+                "shuffle.fetch", reduce_index
+            ):
                 victim = self._injector.choose(
-                    "shuffle.fetch", sorted(state.statuses)
+                    "shuffle.fetch", sorted(state.statuses), reduce_index
                 )
                 self._invalidate_locked(state, victim)
                 raise FetchFailedError(

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.errors import CapacityError, ConfigError
-from repro.faults import FaultProfile, FaultSchedule
+from repro.faults import FaultProfile
 
 #: Spellings accepted by :func:`_env_flag`. Every ``REPRO_*`` boolean
 #: flag parses through the same sets, so ``REPRO_SANITIZERS=true`` and
@@ -150,10 +150,6 @@ class Config:
     #: Base of the exponential retry backoff, in seconds (attempt ``n``
     #: waits ``retry_backoff_s * 2**(n-1)``, capped at 1s).
     retry_backoff_s: float = 0.01
-    #: Also retry deterministic (non-transient) task errors. Off by
-    #: default: a ``ValueError`` in user code fails fast, as retrying
-    #: it only replays the same crash.
-    retry_all_errors: bool = False
     #: Wall-clock deadline per stage in seconds; ``None`` disables.
     #: On expiry the stage raises :class:`~repro.errors.StageTimeoutError`
     #: and starts no further task. In-process the deadline is checked
@@ -278,17 +274,15 @@ class Config:
     #: retry backs off briefly; transient FS hiccups heal, a file that
     #: died with its worker still fails fast).
     rpc_max_retries: int = 2
-    #: Deterministic gray-failure schedule (hang/delay/drop/heartbeat-
-    #: miss draws keyed by seed, site, split, and attempt); ``None``
-    #: disables. Driver-side only: workers fork with it stripped, the
-    #: driver makes every draw so replays are bit-identical.
-    fault_schedule: "FaultSchedule | None" = None
     #: Analyzed+optimized logical plans memoized per session, keyed by
     #: a parameterized plan fingerprint (literal values slotted out).
     #: ``0`` disables the plan cache entirely.
     plan_cache_size: int = 128
     #: Seeded chaos-injection profile; ``None`` (the default) disables
-    #: all fault injection.
+    #: all fault injection. Every site, the cluster backend's gray
+    #: failures included, draws a keyed hash of its event on the
+    #: driver; workers fork with the profile stripped and only obey the
+    #: directives shipped in their task envelopes.
     faults: FaultProfile | None = None
 
     def _require(self, knob: str, ok: bool, requirement: str) -> None:
@@ -378,6 +372,23 @@ class Config:
             "positive (or None)",
         )
         require("rpc_max_retries", self.rpc_max_retries >= 0, ">= 0")
+        faults = self.faults
+        if faults is not None and self.rpc_deadline is None:
+            # A dropped reply leaves the worker beating, so no fence
+            # fires; a hang with heartbeats off has no detector either.
+            # Either would block the dispatching thread forever.
+            require(
+                "rpc_deadline",
+                faults.cluster_drop_p == 0.0,
+                "set when faults arm cluster.drop (heartbeats keep "
+                "flowing during a dropped reply)",
+            )
+            require(
+                "rpc_deadline",
+                faults.cluster_hang_p == 0.0 or self.heartbeat_interval > 0,
+                "set when faults arm cluster.hang with heartbeat_interval=0 "
+                "(nothing else detects a hung worker)",
+            )
 
     def with_options(self, **changes: Any) -> "Config":
         """Return a copy of this config with the given fields replaced."""

@@ -106,7 +106,7 @@ class IndexLookupRDD(RDD):
     def compute(self, split: int) -> Iterator[tuple]:
         # Chaos site: a failing cTrie probe (simulating index
         # corruption / a dead executor holding the index partition).
-        self.context.fault_injector.maybe_fail("index.probe")
+        self.context.fault_injector.maybe_fail("index.probe", split)
         snapshot = self.snapshots[split]
         keys = self._by_partition[split]
         if self.context.config.codegen_enabled:

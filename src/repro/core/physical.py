@@ -249,11 +249,12 @@ class IndexedJoinExec(PhysicalPlan):
         injector = self.ctx.fault_injector
         probe_chaos = injector if injector.enabled else None
         for key, probe_row in records:
-            if probe_chaos is not None:
-                probe_chaos.maybe_fail("index.probe")
             if key is None:
                 continue
-            snapshot = snapshots[partition_of(key)]
+            partition = partition_of(key)
+            if probe_chaos is not None:
+                probe_chaos.maybe_fail("index.probe", partition)
+            snapshot = snapshots[partition]
             for build_row in snapshot.lookup(key):
                 if build_columns is not None:
                     build_row = tuple(build_row[c] for c in build_columns)

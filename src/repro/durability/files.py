@@ -59,8 +59,8 @@ def write_all(
     """
     if injector.should_fire("disk.write.torn"):
         # Cut inside the data so replay sees a genuinely torn record;
-        # the cut point is drawn from the same seeded stream so a
-        # failing run replays exactly.
+        # the cut point is a keyed draw of its own, so a failing run
+        # replays exactly.
         cut = injector.choose("disk.write.torn", range(1, max(2, len(data))))
         fh.write(data[:cut])
         fh.flush()

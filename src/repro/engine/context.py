@@ -46,11 +46,9 @@ class EngineContext:
 
     def __init__(self, config: Config | None = None):
         self.config = config or Config()
-        # One seeded injector per context: engine, shuffle, and indexed
-        # operators all draw from the same reproducible fault streams.
-        self.fault_injector = FaultInjector(
-            self.config.faults, self.config.fault_schedule
-        )
+        # One seeded injector per context: engine, shuffle, indexed
+        # operators and the cluster backend all draw keyed hashes from it.
+        self.fault_injector = FaultInjector(self.config.faults)
         self._spill_root: str | None = None
         self._owns_spill_root = False
         # Only worker processes run tasks in parallel, so only the

@@ -29,8 +29,7 @@ Fault tolerance (mirroring Spark's recovery model):
   resubmitted with exponential backoff up to
   ``Config.task_max_retries`` times, after which the stage raises
   :class:`~repro.errors.RetryExhaustedError`. Deterministic user-code
-  errors fail fast (set ``Config.retry_all_errors`` to retry those
-  too);
+  errors fail fast;
 * **lineage recomputation** — a
   :class:`~repro.errors.FetchFailedError` does not burn retries
   blindly: the scheduler looks up the shuffle dependency in the job's
@@ -542,8 +541,8 @@ class DAGScheduler:
 
         def map_task(map_index: int) -> Any:
             try:
-                injector.maybe_delay("task.slow")
-                injector.maybe_fail("task")
+                injector.maybe_delay("task.slow", map_index)
+                injector.maybe_fail("task", map_index)
                 records = parent.iterator(map_index)
                 return writer(map_index, records)
             except (TaskError, QueryCancelledError):
@@ -573,8 +572,8 @@ class DAGScheduler:
 
         def result_task(split: int) -> Any:
             try:
-                injector.maybe_delay("task.slow")
-                injector.maybe_fail("task")
+                injector.maybe_delay("task.slow", split)
+                injector.maybe_fail("task", split)
                 return func(rdd.iterator(split))
             except (TaskError, QueryCancelledError):
                 raise
@@ -824,7 +823,7 @@ class DAGScheduler:
                         failures.attempts + 1,
                         CircuitOpenError("cluster.rpc", breaker.retry_after()),
                     ) from exc
-        if transient is None and not self._config.retry_all_errors:
+        if transient is None:
             raise exc
         budget = self._config.task_max_retries
         if fetch is not None:

@@ -199,11 +199,13 @@ class ShuffleManager:
             state = self._shuffles.get(shuffle_id)
             if state is None:
                 raise EngineError(f"shuffle {shuffle_id} was never registered")
-            if state.complete() and self._injector.should_fire("shuffle.fetch"):
+            if state.complete() and self._injector.should_fire(
+                "shuffle.fetch", reduce_index
+            ):
                 # Simulate a died executor: one map output vanishes and
                 # this fetch fails; the scheduler must recompute it.
                 victim = self._injector.choose(
-                    "shuffle.fetch", sorted(state.outputs)
+                    "shuffle.fetch", sorted(state.outputs), reduce_index
                 )
                 del state.outputs[victim]
                 self.lost_map_outputs += 1

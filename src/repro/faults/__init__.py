@@ -2,11 +2,14 @@
 
 One seeded :class:`FaultInjector` per engine context drives every
 injection site — task crashes, stragglers, shuffle-fetch loss, broker
-delivery failures, and index-probe failures — so a chaotic run can be
-replayed exactly from its seed. See :mod:`repro.faults.injector`.
-Gray-failure *schedules* (hangs, delays, dropped replies, heartbeat
-loss, keyed-hash draws replayed bit-identically) live in
-:mod:`repro.faults.schedule`.
+delivery failures, index-probe failures, durability crash points,
+serving faults, and the cluster backend's worker kills and gray
+failures (hangs, delays, dropped replies, heartbeat loss). Every
+decision is a keyed hash of the event's identity, so a key's fire
+sequence is independent of the draws at every other key; draws that
+share a key (concurrent jobs on one split, concurrent calls of an
+unpartitioned site) take their ordinal in call order. See
+:mod:`repro.faults.injector`.
 """
 
 from repro.faults.injector import (
@@ -17,19 +20,14 @@ from repro.faults.injector import (
     chaos_profile,
     cluster_chaos_profile,
     durability_chaos_profile,
-    serving_chaos_profile,
-)
-from repro.faults.schedule import (
-    SCHEDULE_SITES,
-    FaultSchedule,
     gray_failure_schedule,
     keyed_uniform,
+    serving_chaos_profile,
 )
 
 __all__ = [
     "FaultInjector",
     "FaultProfile",
-    "FaultSchedule",
     "chaos_profile",
     "cluster_chaos_profile",
     "durability_chaos_profile",
@@ -37,6 +35,5 @@ __all__ = [
     "keyed_uniform",
     "serving_chaos_profile",
     "NULL_INJECTOR",
-    "SCHEDULE_SITES",
     "SITES",
 ]

@@ -1103,7 +1103,7 @@ class _BitmapFetchRDD(RDD):
     def compute(self, split: int) -> Iterator[tuple]:
         # Chaos site: shared with the cTrie probe — either index kind
         # dies when the executor holding its partition does.
-        self.context.fault_injector.maybe_fail("index.probe")
+        self.context.fault_injector.maybe_fail("index.probe", split)
         bits = self.selections[split]
         if not bits:
             return iter(())

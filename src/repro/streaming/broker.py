@@ -106,7 +106,7 @@ class Broker:
         self, tp: TopicPartition, offset: int, max_records: int
     ) -> Sequence[Record]:
         """Records from ``offset`` (inclusive), at most ``max_records``."""
-        self._injector.maybe_fail("broker.read")
+        self._injector.maybe_fail("broker.read", tp.partition)
         logs = self._logs(tp.topic)
         log = logs[tp.partition]
         with log.lock:

@@ -1,5 +1,5 @@
 """Gray-failure acceptance sweep: deterministic hang/delay/drop
-schedules across 20 seeds.
+draws across 20 seeds.
 
 Three properties per seed, all implied by exact-multiset results plus
 the resource checks:
@@ -9,8 +9,9 @@ the resource checks:
   aggregate, and the expected dict is exact);
 * **zero leaked shm segments** — every kill path reaps its
   ``/dev/shm/repro_{pid}_*`` segments and spill files;
-* **deterministic replay** — the same seed draws the same schedule
-  (trace equality) and produces the same result, run to run.
+* **deterministic replay** — the same seed fires the same events
+  (``fired_events()`` equality) and produces the same result, run to
+  run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import os
 import pytest
 
 from repro.engine.context import EngineContext
-from repro.faults import FaultSchedule, cluster_chaos_profile, gray_failure_schedule
+from repro.faults import FaultProfile, cluster_chaos_profile, gray_failure_schedule
 from tests.conftest import small_config
 
 SEEDS = list(range(20))
@@ -35,7 +36,7 @@ for key, value in DATA:
     EXPECTED[key] = EXPECTED.get(key, 0) + value
 
 
-def _schedule_config(seed: int, schedule: FaultSchedule | None = None):
+def _schedule_config(seed: int, schedule: FaultProfile | None = None):
     config = small_config(
         executors=2,
         default_parallelism=4,
@@ -46,14 +47,14 @@ def _schedule_config(seed: int, schedule: FaultSchedule | None = None):
     )
     return dataclasses.replace(
         config,
-        fault_schedule=schedule
-        or FaultSchedule(
+        faults=schedule
+        or FaultProfile(
             seed=seed,
-            hang_p=0.1,
-            delay_p=0.2,
-            drop_p=0.15,
-            heartbeat_miss_p=0.05,
-            delay_s=0.02,
+            cluster_hang_p=0.1,
+            cluster_delay_p=0.2,
+            cluster_drop_p=0.15,
+            cluster_heartbeat_miss_p=0.05,
+            slow_delay_s=0.02,
         ),
     )
 
@@ -69,7 +70,7 @@ def _run(config) -> tuple[dict, dict, list]:
             ctx.parallelize(DATA, 4).reduce_by_key(lambda a, b: a + b).collect()
         )
         stats = ctx.backend.stats()
-        trace = ctx.fault_injector.schedule_trace()
+        trace = ctx.fault_injector.fired_events()
     return result, stats, trace
 
 
@@ -137,7 +138,7 @@ def test_worker_kill_chaos_leaks_nothing(seed):
 def test_hung_worker_fence_reaps_spill_files():
     """A hang fence kills the worker mid-write; respawn must reap the
     dead pid's spill files so /tmp never accretes orphans."""
-    config = _schedule_config(0, FaultSchedule(seed=0, hang_p=1.0, attempt_cap=1))
+    config = _schedule_config(0, FaultProfile(seed=0, cluster_hang_p=1.0))
     with EngineContext(config) as ctx:
         result = dict(
             ctx.parallelize(DATA, 4).reduce_by_key(lambda a, b: a + b).collect()

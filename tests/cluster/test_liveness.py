@@ -16,7 +16,7 @@ import pytest
 
 from repro.cluster.liveness import BEAT, DEAD, LIVE, SUSPECT, HeartbeatMonitor
 from repro.engine.context import EngineContext
-from repro.faults import FaultInjector, FaultSchedule
+from repro.faults import FaultInjector, FaultProfile
 from tests.conftest import small_config
 
 DATA = [(i % 20, i) for i in range(400)]
@@ -111,7 +111,7 @@ class TestMonitorUnit:
         assert monitor._sweep() == []
 
     def test_injected_heartbeat_miss_deafens_registration(self):
-        injector = FaultInjector(None, FaultSchedule(seed=5, heartbeat_miss_p=1.0))
+        injector = FaultInjector(FaultProfile(seed=5, cluster_heartbeat_miss_p=1.0))
         monitor, _ = _monitor(timeout=1.0, injector=injector)
         conn = _FakeConn()
         monitor.register(0, 1, conn, pid=999999)
@@ -121,8 +121,8 @@ class TestMonitorUnit:
         # The worker is perfectly healthy; the fence is the experiment.
         assert monitor._sweep() == [(0, 1, 999999)]
         assert monitor.stats()["beats_discarded"] == 1
-        # The respawned generation is spawn-attempt 1: past the default
-        # attempt_cap, so it hears beats again — no fencing livelock.
+        # The respawned generation is spawn-attempt 1, and only attempt
+        # 0 fires, so it hears beats again — no fencing livelock.
         monitor.register(0, 2, conn, pid=999999)
         assert not monitor._slots[0].deaf
 
@@ -137,7 +137,7 @@ def _hang_config(seed: int = 1):
     )
     return dataclasses.replace(
         config,
-        fault_schedule=FaultSchedule(seed=seed, hang_p=1.0, attempt_cap=1),
+        faults=FaultProfile(seed=seed, cluster_hang_p=1.0),
     )
 
 

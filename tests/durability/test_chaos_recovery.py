@@ -17,8 +17,8 @@ the uninterrupted reference run:
 * **no duplicates, consistent store** — counts, scans, and index
   lookups agree, and appending after recovery works and is durable.
 
-Every (site × seed) combination replays identically: the injector
-draws each site from its own seeded stream.
+Every (site × seed) combination replays identically: each injector
+decision is a keyed hash of the seed, the site and the draw's ordinal.
 """
 
 from __future__ import annotations

@@ -71,19 +71,6 @@ class TestTaskRetry:
             ctx.parallelize(range(4), 2).map(boom).collect()
         assert ctx.scheduler.metrics.task_retries == 0
 
-    def test_retry_all_errors_heals_flaky_user_code(self, make_ctx):
-        ctx = make_ctx(task_max_retries=5, retry_all_errors=True)
-        attempts: list[int] = []
-
-        def flaky(x):
-            if len(attempts) < 2:
-                attempts.append(1)
-                raise ValueError("transient-looking user bug")
-            return x
-
-        assert ctx.parallelize([7], 1).map(flaky).collect() == [7]
-        assert ctx.scheduler.metrics.task_retries == 2
-
     def test_engine_usable_after_exhaustion(self, make_ctx):
         ctx = make_ctx(
             faults=FaultProfile(seed=0, task_crash_p=1.0, max_fires_per_site=10),

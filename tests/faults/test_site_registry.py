@@ -20,8 +20,11 @@ def test_sites_are_unique():
     assert len(SITES) == len(set(SITES))
 
 
-def test_injector_seeds_one_stream_per_registered_site():
-    from repro.faults.injector import FaultInjector, FaultProfile
+def test_every_probability_field_names_a_registered_site():
+    import dataclasses
 
-    injector = FaultInjector(FaultProfile(seed=7))
-    assert set(injector._rngs) == set(SITES)
+    from repro.faults.injector import SITE_FIELDS, FaultProfile
+
+    assert set(SITE_FIELDS) <= set(SITES)
+    fields = {f.name for f in dataclasses.fields(FaultProfile)}
+    assert set(SITE_FIELDS.values()) == {n for n in fields if n.endswith("_p")}

@@ -17,17 +17,40 @@ import threading
 import pytest
 
 from repro.core import create_index
-from repro.errors import QueryCancelledError, ReproError
+from repro.errors import (
+    InjectedFault,
+    QueryCancelledError,
+    ReproError,
+    RetryExhaustedError,
+)
 from repro.faults import serving_chaos_profile
 
 SEEDS = range(20)
 JOIN_TIMEOUT_S = 60.0
+
+#: Index builds per seed before setup gives up (see _index_under_chaos).
+SETUP_ATTEMPTS = 3
 
 QUERIES = [
     "SELECT id, name FROM it WHERE id = 7",  # indexed lookup
     "SELECT id % 4 AS g, count(*) AS n FROM it GROUP BY id % 4",  # analytic
     "SELECT count(*) FROM it",  # scan
 ]
+
+
+def _index_under_chaos(df):
+    """Index ``df`` on a chaos session. The build is setup, not the
+    subject of the sweep: one whose task retries an *injected* fault
+    exhausted (a typed outcome under chaos) is rebuilt, and each
+    rebuild draws fresh events. Exhaustion with any other cause is a
+    real failure and propagates."""
+    for _ in range(SETUP_ATTEMPTS - 1):
+        try:
+            return create_index(df, "id")
+        except RetryExhaustedError as exc:
+            if not isinstance(exc.cause, InjectedFault):
+                raise
+    return create_index(df, "id")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -44,7 +67,7 @@ def test_mixed_load_under_chaos_never_hangs(make_serving_session, seed):
         [("id", "long"), ("name", "string")],
         num_partitions=4,
     )
-    indexed = create_index(df, "id")
+    indexed = _index_under_chaos(df)
     session.create_or_replace_temp_view("it", indexed.to_df())
 
     unexpected: list = []

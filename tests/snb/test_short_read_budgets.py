@@ -3,16 +3,19 @@
 Timings on a shared host swing by tens of per cent; work counts do not.
 Each indexed query SQ1–SQ7, once its shape is in the plan cache, costs
 exactly the jobs, tasks and analyzer calls pinned here, whatever its
-key. A change that moves one of these numbers says why.
+key — and, after an append (benchmark A3), still the same jobs and
+tasks with no plan-cache miss, no kernel compile and no cache eviction.
+A change that moves one of these numbers says why.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import codegen
 from repro.config import Config
 from repro.core import enable_indexing
-from repro.snb import ALL_QUERIES, generate, load_indexed, run_query
+from repro.snb import ALL_QUERIES, generate, load_indexed, run_query, update_stream
 from repro.sql.analysis import Analyzer
 from repro.sql.session import Session
 
@@ -75,3 +78,35 @@ def test_repeated_short_read_work(world, analyze_calls, name):
         )
         assert spent == BUDGETS[name], (name, key)
         assert after["plan_cache_misses"] == before["plan_cache_misses"]
+
+
+def test_append_then_same_query_work(world):
+    """A3: an append, then the same query. Indexed leaves key the plan
+    template by store, not by version, so a read at each new version
+    reuses the template and its kernels, and the append leaves the
+    block-manager cache whole."""
+    session, dataset, indexed = world
+    persons, messages = dataset.person_ids(), dataset.message_ids()
+
+    def key_of(name):
+        return (persons if ALL_QUERIES[name][1] == "person" else messages)[1]
+
+    for name in sorted(BUDGETS):
+        run_query(indexed, name, key_of(name))  # templates and kernels
+    metrics = session.ctx.scheduler.metrics
+    cache = session.ctx.block_manager.stats
+    for batch in update_stream(dataset, 3, rows_per_batch=20):
+        indexed = indexed.with_appended(
+            persons=batch.persons, knows=batch.knows, messages=batch.messages
+        )
+        for name in sorted(BUDGETS):
+            before, compiled = metrics.snapshot(), codegen.stats().compiled
+            evictions = cache.snapshot()["evictions"]
+            run_query(indexed, name, key_of(name))
+            after = metrics.snapshot()
+            spent = (after["jobs"] - before["jobs"], after["tasks"] - before["tasks"])
+            where = (name, batch.sequence)
+            assert spent == BUDGETS[name][:2], where
+            assert after["plan_cache_misses"] == before["plan_cache_misses"], where
+            assert codegen.stats().compiled == compiled, where
+            assert cache.snapshot()["evictions"] == evictions, where

@@ -160,7 +160,7 @@ class TestClusterLivenessKnobs:
         assert config.heartbeat_timeout > config.heartbeat_interval
         assert config.rpc_deadline is None
         assert config.rpc_max_retries >= 0
-        assert config.fault_schedule is None
+        assert config.faults is None
 
     def test_zero_interval_disables_heartbeats(self):
         assert Config(heartbeat_interval=0.0).heartbeat_interval == 0.0
@@ -191,8 +191,34 @@ class TestClusterLivenessKnobs:
         with pytest.raises(ConfigError, match="rpc_deadline"):
             Config(rpc_deadline=0)
 
-    def test_fault_schedule_travels_in_config(self):
-        from repro.faults import FaultSchedule
+    def test_gray_failure_profile_travels_in_config(self):
+        from repro.faults import gray_failure_schedule
 
-        schedule = FaultSchedule(seed=9, hang_p=0.5)
-        assert Config(fault_schedule=schedule).fault_schedule is schedule
+        profile = gray_failure_schedule(seed=9)
+        assert Config(faults=profile, rpc_deadline=1.0).faults is profile
+
+    def test_rejects_drop_without_rpc_deadline(self):
+        """A dropped reply leaves heartbeats flowing, so no fence fires:
+        without an RPC deadline the dispatcher would wait forever."""
+        from repro.errors import ConfigError
+        from repro.faults import FaultProfile, gray_failure_schedule
+
+        with pytest.raises(ConfigError, match="rpc_deadline.*cluster.drop"):
+            Config(faults=FaultProfile(seed=1, cluster_drop_p=0.5))
+        with pytest.raises(ConfigError, match="rpc_deadline"):
+            Config(faults=gray_failure_schedule(seed=7))
+        assert Config(
+            faults=FaultProfile(seed=1, cluster_drop_p=0.5), rpc_deadline=1.0
+        ).rpc_deadline == 1.0
+
+    def test_rejects_hang_with_no_detector(self):
+        """Heartbeats off and no RPC deadline: nothing sees a hang."""
+        from repro.errors import ConfigError
+        from repro.faults import FaultProfile
+
+        hang = FaultProfile(seed=1, cluster_hang_p=1.0)
+        with pytest.raises(ConfigError, match="rpc_deadline.*cluster.hang"):
+            Config(faults=hang, heartbeat_interval=0.0)
+        # Either detector alone is enough.
+        assert Config(faults=hang).heartbeat_interval > 0
+        assert Config(faults=hang, heartbeat_interval=0.0, rpc_deadline=0.5)
