@@ -1,15 +1,16 @@
 """Multi-process sharded executors: GIL-free parallel task execution.
 
-Enabled by ``Config(executors=N)`` (or ``REPRO_EXECUTORS=N``); the
-default ``executors=0`` keeps the engine fully in-process with plans
-and results bit-identical to every prior release. See DESIGN.md §13
+Enabled by ``Config(executors=N)`` (or ``REPRO_EXECUTORS=N``): the
+session injects the stack :func:`process_backend` builds into its
+engine context. The default ``executors=0`` keeps the engine fully
+in-process, and the engine never imports this package. See DESIGN.md §13
 for the process model and §16 for the gray-failure hardening —
 heartbeats (:mod:`repro.cluster.liveness`), per-RPC deadlines, fenced
 respawn, and worker-local WAL replay
 (:mod:`repro.cluster.walship`).
 """
 
-from repro.cluster.backend import ExecutorBackend, LocalBackend, ProcessBackend
+from repro.cluster.backend import ProcessBackend, process_backend
 from repro.cluster.liveness import HeartbeatMonitor, beat_loop
 from repro.cluster.shm import DriverShipStore, WorkerShipCache
 from repro.cluster.shuffle import ClusterShuffleManager, WorkerShuffleClient
@@ -18,7 +19,6 @@ from repro.cluster.spill import (
     MapStatus,
     SpillMapWriter,
     set_worker_identity,
-    worker_identity,
 )
 from repro.cluster.walship import WorkerWalCache
 
@@ -26,9 +26,7 @@ __all__ = [
     "ClusterShuffleManager",
     "DRIVER_IDENTITY",
     "DriverShipStore",
-    "ExecutorBackend",
     "HeartbeatMonitor",
-    "LocalBackend",
     "MapStatus",
     "ProcessBackend",
     "SpillMapWriter",
@@ -36,6 +34,6 @@ __all__ = [
     "WorkerShuffleClient",
     "WorkerWalCache",
     "beat_loop",
+    "process_backend",
     "set_worker_identity",
-    "worker_identity",
 ]

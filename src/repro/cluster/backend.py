@@ -1,14 +1,13 @@
-"""Executor backends: where a scheduled task attempt actually runs.
+"""The process backend: task attempts in N forked worker processes.
 
-The DAG scheduler is backend-agnostic: task attempts go through
-:meth:`ExecutorBackend.run_task`. :class:`LocalBackend` calls the task
-closure on the scheduler's own thread, one split after another — the
-scheduler gives it no pool, since under the GIL threads would add only
-hand-offs.
-:class:`ProcessBackend` dispatches it to one of N forked worker
-processes over a duplex pipe, with the closure pickled by the task
-codec, heavy leaf data shipped once through shared memory, and shuffle
-output spilled to per-worker files.
+The DAG scheduler dispatches through :class:`ProcessBackend.run_task`
+the same way it calls the engine's in-process
+:class:`~repro.engine.backend.LocalBackend` (re-exported here). The
+closure is pickled by the task codec, heavy leaf data is shipped once
+through shared memory, and shuffle output is spilled to per-worker
+files. :func:`process_backend` builds the whole stack from a
+``Config``; the session injects it into its engine context, which
+imports nothing from this package.
 
 Topology: one pipe + one driver-side dispatcher thread per worker.
 A worker runs one task at a time (Spark's one-core executor), so the
@@ -35,15 +34,19 @@ from __future__ import annotations
 import glob
 import multiprocessing
 import os
+import shutil
+import tempfile
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
 from queue import SimpleQueue
 from typing import Any, Callable
 
 from repro.cluster.codec import TaskCodec, loads_reply
 from repro.cluster.liveness import HeartbeatMonitor
+from repro.cluster.shm import DriverShipStore
+from repro.cluster.shuffle import ClusterShuffleManager
 from repro.cluster.worker import (
     MSG_CRASH,
     MSG_STOP,
@@ -51,6 +54,9 @@ from repro.cluster.worker import (
     encode_cancel_reason,
     worker_main,
 )
+from repro.config import Config
+from repro.engine.backend import ExecutorBackend, LocalBackend
+from repro.engine.query import QueryContext, current_query
 from repro.errors import (
     FAIL_STOP,
     ClusterTimeoutError,
@@ -59,7 +65,8 @@ from repro.errors import (
     WorkerLostError,
 )
 from repro.faults import NULL_INJECTOR, FaultInjector
-from repro.serving.context import QueryContext, current_query
+
+__all__ = ["ExecutorBackend", "LocalBackend", "ProcessBackend", "process_backend"]
 
 #: Queue sentinel that shuts a dispatcher down.
 _STOP = object()
@@ -86,40 +93,6 @@ def _await_result(box: Future, query: QueryContext | None) -> Any:
         except FutureTimeout:
             if query is not None:
                 query.check()
-
-
-class ExecutorBackend:
-    """Where task attempts run; the scheduler calls only this surface."""
-
-    def run_task(
-        self, task: Callable[[int], Any], split: int, prefer_healthy: bool = False
-    ) -> Any:
-        raise NotImplementedError
-
-    def suspect_slots(self) -> frozenset[int]:
-        """Executor slots a liveness layer currently distrusts."""
-        return frozenset()
-
-    def begin_job(self, query: QueryContext | None) -> None:
-        """Called under the scheduler's job lock before a job starts."""
-
-    def end_job(self, query: QueryContext | None) -> None:
-        """Called under the scheduler's job lock after a job finishes."""
-
-    def stats(self) -> dict[str, int]:
-        return {}
-
-    def stop(self) -> None:
-        pass
-
-
-class LocalBackend(ExecutorBackend):
-    """In-process execution on the calling thread."""
-
-    def run_task(
-        self, task: Callable[[int], Any], split: int, prefer_healthy: bool = False
-    ) -> Any:
-        return task(split)
 
 
 class _WorkerSlot:
@@ -157,6 +130,7 @@ class ProcessBackend(ExecutorBackend):
         shuffles,
         ship_store,
         injector: FaultInjector | None = None,
+        owns_spill_root: bool = False,
     ) -> None:
         if num_workers < 1:
             raise EngineError("ProcessBackend requires at least one worker")
@@ -199,6 +173,11 @@ class ProcessBackend(ExecutorBackend):
         #: is attempt 0, the only one that may fire; the injector's
         #: per-key count gives each job fresh draws).
         self._attempts: dict[int, int] = {}  # guarded-by: _lock
+        self._owns_spill_root = owns_spill_root
+        self.pool = ThreadPoolExecutor(
+            max_workers=max(config.executor_threads, num_workers),
+            thread_name_prefix="repro-executor",
+        )
         self._stopped = False
         self._monitor: HeartbeatMonitor | None = None
         if config.heartbeat_interval > 0:
@@ -290,11 +269,11 @@ class ProcessBackend(ExecutorBackend):
         """Delete every spill file a dead pid left behind — including
         uncommitted ones no MapStatus ever pointed at (a kill can land
         between file write and commit)."""
-        spill_root = getattr(self._shuffles, "spill_root", None)
-        if not spill_root or pid < 0:
+        if pid < 0:
             return 0
         reaped = 0
-        for path in glob.glob(os.path.join(spill_root, f"*_p{pid}_*.bin")):
+        pattern = os.path.join(self._shuffles.spill_root, f"*_p{pid}_*.bin")
+        for path in glob.glob(pattern):
             try:
                 os.unlink(path)
                 reaped += 1
@@ -569,6 +548,7 @@ class ProcessBackend(ExecutorBackend):
         if self._stopped:
             return
         self._stopped = True
+        self.pool.shutdown(wait=True)
         # Monitor first: a fence verdict mid-shutdown would race the
         # orderly MSG_STOP path below.
         if self._monitor is not None:
@@ -603,7 +583,37 @@ class ProcessBackend(ExecutorBackend):
             if slot.pid is not None:
                 self._reap_spill_files(slot.pid)
         self._ship.close()
+        if self._owns_spill_root:
+            shutil.rmtree(self._shuffles.spill_root, ignore_errors=True)
 
     def _bump(self, counter: str) -> None:
         with self._lock:
             self._counters[counter] += 1
+
+
+def process_backend(
+    config: Config, injector: FaultInjector
+) -> tuple[ProcessBackend, ClusterShuffleManager]:
+    """The stack ``Config(executors=N)`` runs on, for an engine context.
+
+    A spill root (``cluster_spill_dir``, else a temporary directory the
+    backend removes when it stops), the spill-file shuffle manager over
+    it, the shared-memory ship store, and N worker processes fed by
+    ``max(executor_threads, N)`` dispatch threads.
+    """
+    owns_spill_root = config.cluster_spill_dir is None
+    spill_root = (
+        tempfile.mkdtemp(prefix="repro-spill-")
+        if owns_spill_root
+        else config.cluster_spill_dir
+    )
+    shuffles = ClusterShuffleManager(spill_root, injector, config.rpc_max_retries)
+    backend = ProcessBackend(
+        config.executors,
+        config,
+        shuffles,
+        DriverShipStore(),
+        injector,
+        owns_spill_root,
+    )
+    return backend, shuffles

@@ -1,13 +1,14 @@
-"""Shuffle spill files: the cluster backend's map-output medium.
+"""Shuffle spill files: the process backend's map-output medium.
 
-In-process shuffle keeps buckets as Python lists in the driver's
-:class:`~repro.engine.shuffle.ShuffleManager`. Across processes the
-map side instead spills each reduce bucket to a per-map file (pickled,
-one contiguous region per bucket) and returns a compact
-:class:`MapStatus` — path, per-bucket offsets, per-bucket
-``(rows, est_bytes)`` — that the coordinator commits into its
-registry. Reduce tasks receive the committed statuses in their task
-envelope and read exactly the one region their bucket needs.
+The engine's :class:`~repro.engine.shuffle.ShuffleManager` is one
+registry over two media. In process it keeps buckets as Python lists;
+across processes the map side buckets its records with the same
+:func:`~repro.engine.shuffle.bucketize`, spills each reduce bucket to a
+per-map file (pickled, one contiguous region per bucket) and returns a
+compact :class:`MapStatus` — path, per-bucket offsets, per-bucket
+``(rows, est_bytes)`` — that the registry commits. Reduce tasks receive
+the committed statuses in their task envelope and read exactly the one
+region their bucket needs. A status the registry drops unlinks its file.
 
 Files are named by writer pid so the coordinator can invalidate (and
 delete) everything a dead worker produced — worker death loses that
@@ -24,7 +25,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.engine.cache import estimate_size
+from repro.engine.shuffle import bucketize
 from repro.errors import FetchFailedError
 from repro.serialize import PICKLE_PROTOCOL
 
@@ -47,10 +48,6 @@ def set_worker_identity(slot: int, generation: int) -> None:
     _worker_identity = (slot, generation)
 
 
-def worker_identity() -> tuple[int, int]:
-    return _worker_identity
-
-
 @dataclass(frozen=True)
 class MapStatus:
     """One committed map output: where its buckets live on disk."""
@@ -70,12 +67,12 @@ class MapStatus:
     slot: int = -1
     generation: int = 0
 
-
-def _bucket_size(bucket: list[Any]) -> tuple[int, int]:
-    rows = len(bucket)
-    if rows == 0:
-        return 0, 0
-    return rows, rows * max(1, estimate_size(bucket[0]))
+    def drop(self) -> None:
+        """Unlink the spill file (already gone is fine)."""
+        try:
+            os.unlink(self.path)
+        except OSError:
+            pass
 
 
 @dataclass(frozen=True)
@@ -84,8 +81,8 @@ class SpillMapWriter:
 
     Carries no locks and no manager reference, so it crosses the
     process boundary; the partitioner and (by-value pickled) aggregator
-    callables reproduce :meth:`ShuffleManager.write_map_output`'s
-    bucketization exactly.
+    callables feed the same :func:`~repro.engine.shuffle.bucketize` the
+    in-memory medium uses.
     """
 
     root: str
@@ -97,27 +94,9 @@ class SpillMapWriter:
     def __call__(
         self, map_index: int, records: Iterable[tuple[Any, Any]]
     ) -> MapStatus:
-        n = self.partitioner.num_partitions
-        partition_of = self.partitioner.partition
-        buckets: list[list[Any]] = [[] for _ in range(n)]
-        if self.map_side_combine and self.aggregator is not None:
-            agg = self.aggregator
-            agg_create, agg_merge = agg.create, agg.merge
-            combined: list[dict[Any, Any]] = [dict() for _ in range(n)]
-            _missing = object()
-            for key, value in records:
-                bucket = combined[partition_of(key)]
-                acc = bucket.get(key, _missing)
-                bucket[key] = (
-                    agg_create(value) if acc is _missing else agg_merge(acc, value)
-                )
-            for i, bucket in enumerate(combined):
-                buckets[i] = list(bucket.items())
-        else:
-            appends = [bucket.append for bucket in buckets]
-            for key, value in records:
-                appends[partition_of(key)]((key, value))
-        sizes = tuple(_bucket_size(bucket) for bucket in buckets)
+        buckets, sizes = bucketize(
+            self.partitioner, self.aggregator, self.map_side_combine, records
+        )
         slot, generation = _worker_identity
         # Unique per (map attempt, process, generation): a speculative
         # duplicate, a retried attempt, or a fenced zombie's leftover
@@ -138,14 +117,8 @@ class SpillMapWriter:
                 offsets.append((at, len(blob)))
                 at += len(blob)
         return MapStatus(
-            self.shuffle_id,
-            map_index,
-            path,
-            tuple(offsets),
-            sizes,
-            os.getpid(),
-            slot,
-            generation,
+            self.shuffle_id, map_index, path, tuple(offsets), sizes,
+            os.getpid(), slot, generation,
         )
 
 

@@ -34,7 +34,7 @@ from repro.cluster.spill import set_worker_identity
 from repro.engine.cache import BlockManager
 from repro.errors import EngineError
 from repro.faults import NULL_INJECTOR
-from repro.serving.context import QueryContext, activate, deactivate
+from repro.engine.query import QueryContext, activate, deactivate
 
 #: Message framing: first byte selects the payload decoder.
 MSG_TASK = b"T"
@@ -60,7 +60,7 @@ def decode_cancel_reason(code: int) -> str:
 class SharedFlagToken:
     """Token facade over the backend's shared cancellation flag.
 
-    Duck-types :class:`~repro.serving.context.CancellationToken` for
+    Duck-types :class:`~repro.engine.query.CancellationToken` for
     the poll path (``reason`` / ``cancelled`` / ``cancel``). A local
     ``cancel`` (worker-side deadline expiry) also writes the flag so
     sibling tasks of the same query stop early.

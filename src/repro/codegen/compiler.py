@@ -646,7 +646,7 @@ def chunked(
     whole partition through the kernel.
     """
 
-    from repro.serving.context import check_cancelled
+    from repro.engine.query import check_cancelled
 
     def run(rows: Iterator[tuple]) -> Iterator[tuple]:
         it = iter(rows)

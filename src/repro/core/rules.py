@@ -13,10 +13,12 @@ the Python analogue of importing the library's Scala implicits.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.indexed_df import create_index
 from repro.core.physical import (
+    BitmapIndexAndExec,
+    BitmapScanExec,
     GuardedIndexExec,
     IndexedJoinExec,
     IndexedScanExec,
@@ -40,15 +42,12 @@ from repro.sql.expressions import (
     strip_alias,
 )
 from repro.sql.logical import Filter, Join, LogicalPlan, Project
-from repro.sql.physical import (
-    BitmapIndexAndExec,
-    BitmapScanExec,
-    FilterExec,
-    PhysicalPlan,
-    ProjectExec,
-)
+from repro.sql.physical import FilterExec, PhysicalPlan, ProjectExec
 from repro.sql.planner import Planner, estimate_rows, extract_equi_join_keys
 from repro.stats import extract_pruning_predicates
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sql.session import Session
 
 #: Cost-model weight of one bitmap row fetch (pointer resolution plus a
 #: single-row decode) relative to one sequentially scanned row. The
@@ -476,14 +475,12 @@ def indexed_strategy(plan: LogicalPlan, planner: Planner) -> PhysicalPlan | None
 # ----------------------------------------------------------------------
 
 
-def enable_indexing(session: "object") -> None:
+def enable_indexing(session: "Session") -> None:
     """Inject the indexed rule + strategy into a session and add the
     ``DataFrame.create_index`` method (the implicit-conversion analogue
     of Listing 1's ``regularDF.createIndex``)."""
     from repro.sql.dataframe import DataFrame
-    from repro.sql.session import Session
 
-    assert isinstance(session, Session)
     if index_lookup_rewrite not in session.extensions.optimizer_rules:
         session.extensions.inject_optimizer_rule(index_lookup_rewrite)
     if indexed_strategy not in session.extensions.planner_strategies:

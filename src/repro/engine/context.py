@@ -7,23 +7,28 @@ variables. One context per :class:`~repro.sql.session.Session`.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from repro.config import Config
 from repro.engine.accumulators import Accumulator, list_accumulator, long_accumulator
+from repro.engine.backend import ExecutorBackend, LocalBackend
 from repro.engine.broadcast import Broadcast
-from repro.engine.cache import BlockManager
+from repro.engine.cache import BlockManager, estimate_size
+from repro.engine.query import current_query
 from repro.engine.rdd import RDD, ParallelCollectionRDD
 from repro.engine.scheduler import DAGScheduler
-from repro.engine.cache import estimate_size
 from repro.engine.shuffle import ShuffleManager
+from repro.errors import ConfigError
 from repro.faults import FaultInjector
-from repro.serving.context import current_query
 from repro.stats import PruningMetrics
 
 T = TypeVar("T")
+
+#: Builds an executor backend and the shuffle manager its tasks write
+#: through, from the context's config and fault injector.
+BackendFactory = Callable[
+    [Config, FaultInjector], "tuple[ExecutorBackend, ShuffleManager]"
+]
 
 
 class EngineContext:
@@ -37,65 +42,40 @@ class EngineContext:
         ctx.stop()
 
     With ``executors=0`` (the default) every task runs on the thread
-    that submitted the job and the context starts no thread. With
-    ``executors=N`` tasks run in N forked worker processes, fed by a
-    pool of ``max(executor_threads, N)`` driver-side dispatch threads.
+    that submitted the job and the context starts no thread. Any other
+    backend is injected: ``backend`` builds it with its shuffle manager
+    (``Session`` passes :func:`repro.cluster.process_backend` for
+    ``executors=N``).
 
     Contexts are also context managers, stopping the backend on exit.
     """
 
-    def __init__(self, config: Config | None = None):
+    def __init__(
+        self, config: Config | None = None, backend: BackendFactory | None = None
+    ):
         self.config = config or Config()
         # One seeded injector per context: engine, shuffle, indexed
         # operators and the cluster backend all draw keyed hashes from it.
         self.fault_injector = FaultInjector(self.config.faults)
-        self._spill_root: str | None = None
-        self._owns_spill_root = False
-        # Only worker processes run tasks in parallel, so only the
-        # process backend gets a dispatch pool; in-process stages run
-        # on the calling thread.
-        self._pool = None
-        if self.config.executors > 0:
-            # Cluster mode: spill-file shuffle, shared-memory ship
-            # store, and N forked worker processes behind the backend.
-            from concurrent.futures import ThreadPoolExecutor
-
-            from repro.cluster.backend import ProcessBackend
-            from repro.cluster.shm import DriverShipStore
-            from repro.cluster.shuffle import ClusterShuffleManager
-
-            if self.config.cluster_spill_dir is not None:
-                self._spill_root = self.config.cluster_spill_dir
-            else:
-                self._spill_root = tempfile.mkdtemp(prefix="repro-spill-")
-                self._owns_spill_root = True
-            self.shuffle_manager: ShuffleManager = ClusterShuffleManager(
-                self._spill_root,
-                self.fault_injector,
-                self.config.rpc_max_retries,
+        self.backend: ExecutorBackend
+        self.shuffle_manager: ShuffleManager
+        if backend is not None:
+            self.backend, self.shuffle_manager = backend(
+                self.config, self.fault_injector
             )
-            self.ship_store = DriverShipStore()
-            self.backend = ProcessBackend(
-                self.config.executors,
-                self.config,
-                self.shuffle_manager,
-                self.ship_store,
-                self.fault_injector,
-            )
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(self.config.executor_threads, self.config.executors),
-                thread_name_prefix="repro-executor",
+        elif self.config.executors > 0:
+            raise ConfigError(
+                f"executors={self.config.executors} needs an injected process "
+                "backend: build the context through Session, or pass "
+                "backend=repro.cluster.process_backend"
             )
         else:
-            from repro.cluster.backend import LocalBackend
-
-            self.shuffle_manager = ShuffleManager(self.fault_injector)
-            self.ship_store = None
             self.backend = LocalBackend()
+            self.shuffle_manager = ShuffleManager(self.fault_injector)
         self.block_manager = BlockManager(self.config.cache_capacity_bytes)
         self.scheduler = DAGScheduler(
             self.shuffle_manager,
-            self._pool,
+            self.backend.pool,
             self.config,
             self.fault_injector,
             backend=self.backend,
@@ -156,11 +136,7 @@ class EngineContext:
     def stop(self) -> None:
         if not self._stopped:
             self._stopped = True
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
             self.backend.stop()
-            if self._owns_spill_root and self._spill_root is not None:
-                shutil.rmtree(self._spill_root, ignore_errors=True)
 
     def __enter__(self) -> "EngineContext":
         return self

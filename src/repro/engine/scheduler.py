@@ -60,6 +60,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.config import Config
+from repro.engine.backend import ExecutorBackend, LocalBackend
+from repro.engine.query import QueryContext, activate, current_query, deactivate
 from repro.engine.rdd import RDD, ShuffleDependencyEdge
 from repro.engine.shuffle import ShuffleDependency, ShuffleManager
 from repro.errors import (
@@ -75,13 +77,17 @@ from repro.errors import (
     WorkerLostError,
 )
 from repro.faults import NULL_INJECTOR, FaultInjector
-from repro.serving.context import QueryContext, activate, current_query, deactivate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.engine.context import EngineContext
     from repro.serving.runtime import ServingRuntime
+
+
+def _keep(results: list[Any]) -> None:
+    """Default ``discard`` for stages whose results need no release."""
+
 
 #: Upper bound on one retry backoff sleep.
 _MAX_BACKOFF_S = 1.0
@@ -299,7 +305,7 @@ class DAGScheduler:
         pool: "ThreadPoolExecutor | None",
         config: Config | None = None,
         injector: FaultInjector | None = None,
-        backend: "Any | None" = None,
+        backend: ExecutorBackend | None = None,
     ):
         self._shuffles = shuffle_manager
         # None: every stage runs on the calling thread (the in-process
@@ -308,11 +314,7 @@ class DAGScheduler:
         self._pool = pool
         self._config = config or Config()
         self._injector = injector or NULL_INJECTOR
-        if backend is None:
-            from repro.cluster.backend import LocalBackend
-
-            backend = LocalBackend()
-        self._backend = backend
+        self._backend = backend or LocalBackend()
         # Serialize whole jobs: tasks within a stage are parallel, but two
         # concurrent jobs sharing lineage would race on map-output state.
         self._job_lock = threading.RLock()
@@ -532,11 +534,9 @@ class DAGScheduler:
         stage_id = job.stages
         job.stages += 1
         injector = self._injector
-        # The writer is a standalone callable (not a bound method of the
-        # manager) so map tasks stay picklable for the process backend;
-        # the in-memory writer registers directly and the commit below
-        # is a no-op, the cluster writer spills and returns a MapStatus
-        # that the commit registers.
+        # Each map task returns its output (in-memory buckets, or a
+        # spill file's MapStatus); the stage's outputs are committed
+        # together, and any the stage does not return are dropped.
         writer = self._shuffles.map_writer(dep)
 
         def map_task(map_index: int) -> Any:
@@ -553,10 +553,10 @@ class DAGScheduler:
                 raise TaskError(stage_id, map_index, exc) from exc
 
         job.tasks += len(indices)
-        statuses = self._run_stage(map_task, indices, job, stage_id)
-        self._shuffles.commit_map_outputs(
-            dep.shuffle_id, [s for s in statuses if s is not None]
+        outputs = self._run_stage(
+            map_task, indices, job, stage_id, self._shuffles.discard
         )
+        self._shuffles.commit_map_outputs(dep.shuffle_id, outputs)
 
     def _run_result_stage(
         self,
@@ -592,7 +592,14 @@ class DAGScheduler:
         splits: Sequence[int],
         job: JobMetrics,
         stage_id: int,
+        discard: Callable[[list[Any]], None] = _keep,
     ) -> list[Any]:
+        """Run one task per split; returns their results in split order.
+
+        ``discard`` receives every successful result a pooled stage does
+        not return: a failed stage's, and losing duplicate attempts'. In
+        process the results are in-memory and need no release.
+        """
         splits = list(splits)
         if not splits:
             return []
@@ -611,7 +618,7 @@ class DAGScheduler:
             # and result closures that cannot cross a process boundary
             # (take()'s collectors, local-variable sinks) keep working.
             return [self._run_task_inline(task, splits[0], job, stage_id, clock)]
-        return self._run_stage_pooled(task, splits, job, stage_id, clock)
+        return self._run_stage_pooled(task, splits, job, stage_id, clock, discard)
 
     def _run_task_inline(
         self,
@@ -644,6 +651,7 @@ class DAGScheduler:
         job: JobMetrics,
         stage_id: int,
         clock: _StageClock,
+        discard: Callable[[list[Any]], None],
     ) -> list[Any]:
         abort = threading.Event()
         results: dict[int, Any] = {}
@@ -676,6 +684,10 @@ class DAGScheduler:
             fut = self._pool.submit(attempt, split, delay, speculative)
             inflight[fut] = (split, speculative)
 
+        def discard_unreturned(fut: Future) -> None:
+            if not fut.cancelled() and fut.exception() is None:
+                discard([fut.result()])
+
         for s in splits:  # lint: allow[CP001] -- nonblocking enqueue; the wait loop below polls every tick
             submit(s)
 
@@ -690,7 +702,9 @@ class DAGScheduler:
                 for fut in done:
                     split, speculative = inflight.pop(fut)
                     if split in results:
-                        continue  # the other attempt already won
+                        # The other attempt already won.
+                        discard_unreturned(fut)
+                        continue
                     try:
                         value = fut.result()
                     except _StageAborted:
@@ -720,7 +734,13 @@ class DAGScheduler:
             abort.set()
             for fut in inflight:
                 fut.cancel()
+            discard(list(results.values()))
             raise
+        finally:
+            # Attempts still running — a doomed stage's, or the losers
+            # of a finished one — drop their result when they end.
+            for fut in inflight:
+                fut.add_done_callback(discard_unreturned)
         return [results[s] for s in splits]
 
     def _speculate_suspects(

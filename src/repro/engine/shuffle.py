@@ -1,13 +1,21 @@
-"""In-memory shuffle: map-output registry and fetch API.
+"""Shuffle: one map-output registry over two media.
 
-A :class:`ShuffleDependency` marks a stage boundary. During the map
-stage each map task partitions its key-value output into
-``num_partitions`` buckets and registers them here; reduce tasks fetch
-the bucket with their index from every map output. This mirrors Spark's
-hash shuffle with all blocks held in process memory.
+A :class:`ShuffleDependency` marks a stage boundary. Each map task
+partitions its key-value output into ``num_partitions`` buckets
+(:func:`bucketize`) and its writer returns a *map output*; the
+scheduler commits a stage's outputs here, and reduce tasks fetch the
+bucket with their index from every output.
+
+An output carries its ``map_index`` and per-bucket ``(rows,
+est_bytes)`` sizes and knows how to drop itself: a
+:class:`MemoryMapOutput` holds bucket lists and drops nothing, the
+process backend's ``MapStatus`` unlinks its spill file. Every output
+the registry does not keep — refused, lost, removed with its shuffle,
+or never committed because its stage failed — leaves through
+:meth:`ShuffleManager.discard`.
 
 Fault model: a fetch that finds map outputs missing — whether lost to
-the seeded injector (which deletes a victim output to simulate a died
+the seeded injector (which drops a victim output to simulate a died
 executor) or simply never produced — raises
 :class:`~repro.errors.FetchFailedError`. The scheduler reacts with
 lineage recomputation: :meth:`ShuffleManager.missing_map_indices` names
@@ -23,9 +31,9 @@ from typing import Any, Callable, Iterable, Iterator
 
 from repro.engine.cache import estimate_size
 from repro.engine.partitioner import Partitioner
+from repro.engine.query import check_cancelled, current_query
 from repro.errors import EngineError, FetchFailedError
 from repro.faults import NULL_INJECTOR, FaultInjector
-from repro.serving.context import check_cancelled, current_query
 
 
 @dataclass
@@ -68,18 +76,26 @@ class ShuffleDependency:
 
 @dataclass
 class _ShuffleState:
-    """Map outputs for one shuffle: ``outputs[map_idx][reduce_idx]``.
-
-    ``sizes[map_idx][reduce_idx]`` records ``(rows, est_bytes)`` per
-    bucket — the map-output statistics adaptive execution plans from.
-    """
+    """One shuffle's committed map outputs, keyed by map index."""
 
     num_maps: int
-    outputs: dict[int, list[list[Any]]] = field(default_factory=dict)
-    sizes: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
+    outputs: dict[int, Any] = field(default_factory=dict)
 
     def complete(self) -> bool:
         return len(self.outputs) == self.num_maps
+
+
+@dataclass(frozen=True)
+class MemoryMapOutput:
+    """One map task's buckets, held in process memory."""
+
+    map_index: int
+    buckets: list[list[Any]]
+    #: Per reduce bucket: (rows, est_bytes) — adaptive planning input.
+    sizes: tuple[tuple[int, int], ...]
+
+    def drop(self) -> None:
+        """Nothing to release: the buckets go with the last reference."""
 
 
 def _bucket_size(bucket: list[Any]) -> tuple[int, int]:
@@ -96,10 +112,57 @@ def _bucket_size(bucket: list[Any]) -> tuple[int, int]:
     return rows, rows * max(1, estimate_size(bucket[0]))
 
 
-class ShuffleManager:
-    """Registry of map outputs keyed by shuffle id.
+def bucketize(
+    partitioner: Partitioner,
+    aggregator: Aggregator | None,
+    map_side_combine: bool,
+    records: Iterable[tuple[Any, Any]],
+) -> tuple[list[list[Any]], tuple[tuple[int, int], ...]]:
+    """Partition one map task's records into reduce buckets; returns the
+    buckets and their sizes. Both media write what this returns.
 
-    Thread-safe: map tasks from one stage register concurrently.
+    Both loops run once per record of the map task — the attribute
+    lookups (partition function, bucket appends, aggregator callables)
+    are hoisted out so the loop body is pure local-name dispatch.
+    """
+    n = partitioner.num_partitions
+    partition_of = partitioner.partition
+    buckets: list[list[Any]] = [[] for _ in range(n)]
+    if map_side_combine and aggregator is not None:
+        agg_create, agg_merge = aggregator.create, aggregator.merge
+        combined: list[dict[Any, Any]] = [dict() for _ in range(n)]
+        _missing = object()
+        for key, value in records:  # lint: allow[CP001] -- hot per-record map loop; the cancellation poll sits at stage granularity
+            bucket = combined[partition_of(key)]
+            acc = bucket.get(key, _missing)
+            bucket[key] = (
+                agg_create(value) if acc is _missing else agg_merge(acc, value)
+            )
+        for i, bucket in enumerate(combined):
+            buckets[i] = list(bucket.items())
+    else:
+        appends = [bucket.append for bucket in buckets]
+        for key, value in records:  # lint: allow[CP001] -- hot per-record map loop; the cancellation poll sits at stage granularity
+            appends[partition_of(key)]((key, value))
+    return buckets, tuple(_bucket_size(bucket) for bucket in buckets)
+
+
+def drain(outputs: list[Any], read: Callable[[Any], list[Any]]) -> Iterator[Any]:
+    """The records of one reduce partition, map output by map output;
+    ``read(output)`` loads that output's bucket."""
+    for output in outputs:
+        # Cooperative cancellation poll once per map bucket: a
+        # cancelled query stops fetching instead of draining every
+        # remaining bucket through the reduce task.
+        check_cancelled()
+        yield from read(output)
+
+
+class ShuffleManager:
+    """Registry of map outputs keyed by shuffle id, with in-memory
+    buckets as its medium.
+
+    Thread-safe: fetches, commits and invalidations may race.
     """
 
     def __init__(self, injector: FaultInjector | None = None) -> None:
@@ -125,69 +188,57 @@ class ShuffleManager:
     def map_writer(
         self, dep: ShuffleDependency
     ) -> Callable[[int, Iterable[tuple[Any, Any]]], Any]:
-        """A callable the map task runs to persist its output.
+        """The callable a map task runs to write its output; what it
+        returns goes to :meth:`commit_map_outputs` after the stage."""
 
-        The in-memory manager writes straight into the registry and
-        returns nothing; the cluster manager overrides this with a
-        picklable spill-file writer returning a ``MapStatus`` that the
-        scheduler hands to :meth:`commit_map_outputs` after the stage.
-        """
-
-        def write(map_index: int, records: Iterable[tuple[Any, Any]]) -> None:
-            self.write_map_output(dep, map_index, records)
+        def write(map_index: int, records: Iterable[tuple[Any, Any]]) -> Any:
+            return self.write_map_output(dep, map_index, records)
 
         return write
-
-    def commit_map_outputs(self, shuffle_id: int, statuses: list[Any]) -> None:
-        """Commit per-map writer results after a map stage (no-op here:
-        :meth:`write_map_output` already registered the buckets)."""
 
     def write_map_output(
         self,
         dep: ShuffleDependency,
         map_index: int,
         records: Iterable[tuple[Any, Any]],
-    ) -> None:
-        """Partition one map task's records into reduce buckets.
-
-        Both loops run once per record of the map task — the attribute
-        lookups (partition function, bucket appends, aggregator
-        callables) are hoisted out so the loop body is pure local-name
-        dispatch.
-        """
-        n = dep.partitioner.num_partitions
-        partition_of = dep.partitioner.partition
-        buckets: list[list[Any]] = [[] for _ in range(n)]
-        if dep.map_side_combine and dep.aggregator is not None:
-            agg = dep.aggregator
-            agg_create, agg_merge = agg.create, agg.merge
-            combined: list[dict[Any, Any]] = [dict() for _ in range(n)]
-            _missing = object()
-            for key, value in records:  # lint: allow[CP001] -- hot per-record map loop; PR 6 put the poll at stage granularity
-                bucket = combined[partition_of(key)]
-                acc = bucket.get(key, _missing)
-                bucket[key] = (
-                    agg_create(value) if acc is _missing else agg_merge(acc, value)
-                )
-            for i, bucket in enumerate(combined):
-                buckets[i] = list(bucket.items())
-        else:
-            appends = [bucket.append for bucket in buckets]
-            for key, value in records:  # lint: allow[CP001] -- hot per-record map loop; PR 6 put the poll at stage granularity
-                appends[partition_of(key)]((key, value))
-        sizes = [_bucket_size(bucket) for bucket in buckets]
+    ) -> MemoryMapOutput:
+        """Bucket one map task's records in memory."""
+        buckets, sizes = bucketize(
+            dep.partitioner, dep.aggregator, dep.map_side_combine, records
+        )
         query = current_query()
         if query is not None and query.governor is not None:
             # Charge the shuffle write against the serving memory
             # budgets before the buckets become reachable: a kill
-            # decision then unwinds before the state is registered.
+            # decision then unwinds before the output is committed.
             query.governor.charge(query, sum(est for _rows, est in sizes))
+        return MemoryMapOutput(map_index, buckets, sizes)
+
+    def commit_map_outputs(self, shuffle_id: int, outputs: list[Any]) -> None:
+        """Register a map stage's outputs; those the registry refuses
+        are dropped."""
+        refused: list[Any] = []
         with self._lock:
-            state = self._shuffles.get(dep.shuffle_id)
-            if state is None:
-                raise EngineError(f"shuffle {dep.shuffle_id} was never registered")
-            state.outputs[map_index] = buckets
-            state.sizes[map_index] = sizes
+            state = self._shuffles.get(shuffle_id)
+            if state is not None:
+                for output in outputs:
+                    if self._refuses(output):
+                        refused.append(output)
+                    else:
+                        state.outputs[output.map_index] = output
+        if state is None:
+            self.discard(outputs)
+            raise EngineError(f"shuffle {shuffle_id} was never registered")
+        self.discard(refused)
+
+    def _refuses(self, output: Any) -> bool:  # requires-lock: _lock
+        """Whether a committed output must be dropped instead of kept."""
+        return False
+
+    def discard(self, outputs: Iterable[Any]) -> None:
+        """The drop path for map outputs the registry does not keep."""
+        for output in outputs:
+            output.drop()
 
     def fetch(self, shuffle_id: int, reduce_index: int) -> Iterator[tuple[Any, Any]]:
         """All records destined for ``reduce_index``.
@@ -195,25 +246,18 @@ class ShuffleManager:
         Validates eagerly (so missing outputs fail at call time, inside
         the fetching task) and returns an iterator over the buckets.
         """
+        return drain(
+            self._fetchable(shuffle_id, reduce_index),
+            lambda output: output.buckets[reduce_index],
+        )
+
+    def _fetchable(self, shuffle_id: int, reduce_index: int) -> list[Any]:
+        """The committed outputs a fetch drains, in map order; raises
+        :class:`FetchFailedError` while any is missing."""
         with self._lock:
             state = self._shuffles.get(shuffle_id)
             if state is None:
                 raise EngineError(f"shuffle {shuffle_id} was never registered")
-            if state.complete() and self._injector.should_fire(
-                "shuffle.fetch", reduce_index
-            ):
-                # Simulate a died executor: one map output vanishes and
-                # this fetch fails; the scheduler must recompute it.
-                victim = self._injector.choose(
-                    "shuffle.fetch", sorted(state.outputs), reduce_index
-                )
-                del state.outputs[victim]
-                self.lost_map_outputs += 1
-                raise FetchFailedError(
-                    shuffle_id,
-                    victim,
-                    f"shuffle {shuffle_id}: map output {victim} lost (injected)",
-                )
             if not state.complete():
                 missing = state.num_maps - len(state.outputs)
                 raise FetchFailedError(
@@ -221,22 +265,26 @@ class ShuffleManager:
                     None,
                     f"shuffle {shuffle_id} incomplete: {missing} map outputs missing",
                 )
-            outputs = [state.outputs[i][reduce_index] for i in sorted(state.outputs)]
-
-        def drain() -> Iterator[tuple[Any, Any]]:
-            for bucket in outputs:
-                # Cooperative cancellation poll once per map bucket: a
-                # cancelled query stops fetching instead of draining
-                # every remaining bucket through the reduce task.
-                check_cancelled()
-                yield from bucket
-
-        return drain()
+            if not self._injector.should_fire("shuffle.fetch", reduce_index):
+                return [state.outputs[i] for i in sorted(state.outputs)]
+            # Simulate a died executor: one map output vanishes and
+            # this fetch fails; the scheduler must recompute it.
+            victim = self._injector.choose(
+                "shuffle.fetch", sorted(state.outputs), reduce_index
+            )
+            lost = state.outputs.pop(victim)
+            self.lost_map_outputs += 1
+        lost.drop()
+        raise FetchFailedError(
+            shuffle_id,
+            victim,
+            f"shuffle {shuffle_id}: map output {victim} lost (injected)",
+        )
 
     def reduce_sizes(self, shuffle_id: int) -> list[tuple[int, int]] | None:
         """Per-reduce-partition ``(rows, est_bytes)`` totals across maps.
 
-        ``None`` until every map output has been registered — adaptive
+        ``None`` until every map output has been committed — adaptive
         decisions only make sense over the complete picture.
         """
         with self._lock:
@@ -244,16 +292,13 @@ class ShuffleManager:
             if state is None or not state.complete():
                 return None
             totals: list[tuple[int, int]] | None = None
-            for map_index in state.outputs:
-                sizes = state.sizes.get(map_index)
-                if sizes is None:
-                    return None
+            for output in state.outputs.values():
                 if totals is None:
-                    totals = list(sizes)
+                    totals = list(output.sizes)
                 else:
                     totals = [
                         (r + br, b + bb)
-                        for (r, b), (br, bb) in zip(totals, sizes)
+                        for (r, b), (br, bb) in zip(totals, output.sizes)
                     ]
             return totals
 
@@ -268,15 +313,29 @@ class ShuffleManager:
     def remove_shuffle(self, shuffle_id: int) -> None:
         """Drop all map outputs for a shuffle (GC after a job)."""
         with self._lock:
-            self._shuffles.pop(shuffle_id, None)
+            state = self._shuffles.pop(shuffle_id, None)
+        if state is not None:
+            self.discard(state.outputs.values())
+
+    def _invalidate(self, doomed: Callable[[Any], bool]) -> int:
+        """Drop every committed output ``doomed`` selects — outputs lost
+        with the executor that wrote them; returns how many."""
+        lost: list[Any] = []
+        with self._lock:
+            for state in self._shuffles.values():
+                for map_index in [i for i, o in state.outputs.items() if doomed(o)]:
+                    lost.append(state.outputs.pop(map_index))
+            self.lost_map_outputs += len(lost)
+        self.discard(lost)
+        return len(lost)
 
     def stats(self) -> dict[str, int]:
         """Counters for tests and the benchmark harness."""
         with self._lock:
             records = sum(
-                len(bucket)
+                rows
                 for state in self._shuffles.values()
-                for buckets in state.outputs.values()
-                for bucket in buckets
+                for output in state.outputs.values()
+                for rows, _est in output.sizes
             )
             return {"shuffles": len(self._shuffles), "records": records}

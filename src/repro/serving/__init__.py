@@ -7,7 +7,7 @@ and the scheduler (off by default; ``Config.serving_enabled`` /
 
 from repro.serving.admission import AdmissionController
 from repro.serving.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.serving.context import (
+from repro.engine.query import (
     CancellationToken,
     QueryContext,
     activate,

@@ -24,7 +24,7 @@ from bisect import insort
 from repro.config import Config
 from repro.errors import InjectedFault, QueryRejectedError
 from repro.faults import NULL_INJECTOR, FaultInjector
-from repro.serving.context import QueryContext
+from repro.engine.query import QueryContext
 
 #: Waiter poll tick: bounds how late a queued query notices cancellation.
 _WAIT_TICK_S = 0.02

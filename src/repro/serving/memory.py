@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 
 from repro.config import Config
-from repro.serving.context import QueryContext
+from repro.engine.query import QueryContext
 
 
 class MemoryGovernor:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import QueryCancelledError, QueryRejectedError
 from repro.serving.admission import AdmissionController
 from repro.serving.breaker import CircuitBreaker
-from repro.serving.context import QueryContext, activate, deactivate
+from repro.engine.query import QueryContext, activate, deactivate
 from repro.serving.memory import MemoryGovernor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

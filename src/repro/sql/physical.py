@@ -18,11 +18,8 @@ from typing import Any, Callable, Iterator, Sequence
 
 from repro import codegen
 from repro.engine.context import EngineContext
-from repro.engine.partitioner import HashPartitioner
 from repro.engine.rdd import RDD, ParallelCollectionRDD
 from repro.errors import PlanningError
-from repro.index.bitmap import iter_bits
-from repro.serving.context import check_cancelled
 from repro.sql.expressions import (
     AggregateExpression,
     Alias,
@@ -1062,144 +1059,6 @@ class CartesianProductExec(PhysicalPlan):
                         yield combined
 
         return self.children[0].execute().map_partitions(cross)
-
-
-# ----------------------------------------------------------------------
-# Bitmap index scans
-# ----------------------------------------------------------------------
-
-
-class _BitmapFetchRDD(RDD):
-    """Fetch exactly the rows a bitmap selection names, per partition.
-
-    ``selections[i]`` is partition *i*'s selected-row bitmap (bit *j* =
-    the partition's *j*-th appended row); ``views[i]`` supplies the
-    append-ordinal → packed-pointer array that resolves each set bit to
-    its stored record. Bits are walked ascending, which *is* append
-    order, so output order matches the scan-and-filter plan row for
-    row. Reports the storage :class:`HashPartitioner` like the indexed
-    scan does — partition count and numbering are unchanged.
-    """
-
-    def __init__(
-        self,
-        ctx: EngineContext,
-        snapshots: Sequence[Any],
-        selections: Sequence[int],
-        views: Sequence[Any],
-        columns: Sequence[int] | None = None,
-    ):
-        super().__init__(ctx, [])
-        self.snapshots = list(snapshots)
-        self.selections = list(selections)
-        self.views = list(views)
-        self.columns = list(columns) if columns is not None else None
-        self.partitioner = HashPartitioner(len(self.snapshots))
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self.snapshots)
-
-    def compute(self, split: int) -> Iterator[tuple]:
-        # Chaos site: shared with the cTrie probe — either index kind
-        # dies when the executor holding its partition does.
-        self.context.fault_injector.maybe_fail("index.probe", split)
-        bits = self.selections[split]
-        if not bits:
-            return iter(())
-        snapshot = self.snapshots[split]
-        pointers = self.views[split].pointers
-        batches = snapshot.partition.batches
-        codec = snapshot.partition.codec
-        columns = self.columns
-
-        def fetch() -> Iterator[tuple]:
-            n = 0
-            for position in iter_bits(bits):
-                # A dense selection over a large partition walks millions
-                # of bits without touching a chunk boundary; poll every
-                # 1024 rows so a cancelled query stops fetching instead
-                # of materialising the rest of the selection.
-                if not (n & 1023):
-                    check_cancelled()
-                n += 1
-                _prev, payload = batches.read(pointers[position])
-                if columns is None:
-                    yield codec.decode(payload)
-                else:
-                    yield tuple(
-                        codec.decode_field(payload, 0, c) for c in columns
-                    )
-
-        return fetch()
-
-
-class BitmapScanExec(PhysicalPlan):
-    """Row fetch driven by one updatable bitmap-index predicate.
-
-    The planner already evaluated the compiled bitmap program against
-    each partition's snapshot views *at plan time* (big-int AND/OR over
-    whole bitmaps), so this operator holds the exact per-partition
-    selection and its popcount — ``execute`` only fetches. Snapshot
-    visibility is baked into the selections: every bitmap was masked to
-    the MVCC version's row count, so rows appended after the version
-    was captured are invisible without any reader/writer blocking.
-    """
-
-    PARTITIONING = "source"
-    #: EXPLAIN marker for the planner decision this operator embodies.
-    MARKER = "bitmap_chosen"
-
-    def __init__(
-        self,
-        ctx: EngineContext,
-        version: Any,
-        output: Sequence[Attribute],
-        selections: Sequence[int],
-        views: Sequence[Any],
-        ordinals: Sequence[int],
-        selected_rows: int,
-        total_rows: int,
-        columns: Sequence[int] | None = None,
-    ):
-        super().__init__(ctx, output)
-        self.version = version
-        self.selections = list(selections)
-        self.views = list(views)
-        self.ordinals = list(ordinals)
-        self.selected_rows = selected_rows
-        self.total_rows = total_rows
-        self.columns = list(columns) if columns is not None else None
-
-    def estimated_rows(self) -> int:
-        """Exact, not an estimate: the selection popcount."""
-        return self.selected_rows
-
-    def execute(self) -> RDD:
-        return _BitmapFetchRDD(
-            self.ctx, self.version.snapshots, self.selections, self.views,
-            self.columns,
-        )
-
-    def describe(self) -> str:
-        cols = "all" if self.columns is None else self.columns
-        return (
-            f"{type(self).__name__}[version={self.version.version_id}, "
-            f"columns={cols}, {self.MARKER}=True, ordinals={self.ordinals}, "
-            f"selected={self.selected_rows}/{self.total_rows}]"
-        )
-
-
-class BitmapIndexAndExec(BitmapScanExec):
-    """Multi-predicate bitmap combination (AND/OR intersection).
-
-    Same fetch machinery as :class:`BitmapScanExec`; a distinct class
-    (and EXPLAIN marker) because the planner costed a *combined*
-    program — the case where bitmap indexes beat both the cTrie lookup
-    and the zone-map-pruned scan on selective conjunctions.
-    """
-
-    MARKER = "bitmap_and"
 
 
 def _join_output(left: PhysicalPlan, right: PhysicalPlan, how: str) -> list[Attribute]:

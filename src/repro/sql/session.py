@@ -77,7 +77,14 @@ class Session:
         self, config: Config | None = None, extensions: SessionExtensions | None = None
     ):
         self.config = config or Config()
-        self.ctx = EngineContext(self.config)
+        # The session is the composition root: it injects the process
+        # backend the engine never imports (same lazy pattern as below).
+        backend = None
+        if self.config.executors > 0:
+            from repro.cluster import process_backend
+
+            backend = process_backend
+        self.ctx = EngineContext(self.config, backend)
         self.catalog = Catalog()
         self.extensions = extensions or SessionExtensions()
         self.analyzer = Analyzer()

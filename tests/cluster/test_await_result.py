@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster.backend import _await_result
 from repro.errors import QueryCancelledError
-from repro.serving.context import QueryContext
+from repro.engine.query import QueryContext
 
 
 def test_resolved_future_returns_immediately():

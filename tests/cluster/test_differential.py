@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from repro.cluster import process_backend
 from repro.engine.context import EngineContext
 from repro.sql.session import Session
 from tests.conftest import small_config
@@ -45,7 +46,7 @@ def _run_rdd_pipelines(ctx: EngineContext) -> dict:
 def test_rdd_pipelines_bit_identical(executors):
     with EngineContext(_cluster_config(0)) as local_ctx:
         expected = _run_rdd_pipelines(local_ctx)
-    with EngineContext(_cluster_config(executors)) as cluster_ctx:
+    with EngineContext(_cluster_config(executors), process_backend) as cluster_ctx:
         actual = _run_rdd_pipelines(cluster_ctx)
         stats = cluster_ctx.backend.stats()
     assert actual == expected
@@ -116,7 +117,7 @@ def test_seeded_random_predicates(executors):
 
 
 def test_accumulators_and_broadcast_cross_process():
-    with EngineContext(_cluster_config(2)) as ctx:
+    with EngineContext(_cluster_config(2), process_backend) as ctx:
         acc = ctx.long_accumulator("seen")
         shared = ctx.broadcast({"offset": 1000})
 
@@ -130,7 +131,7 @@ def test_accumulators_and_broadcast_cross_process():
 
 
 def test_zero_executors_uses_local_backend():
-    from repro.cluster.backend import LocalBackend
+    from repro.engine.backend import LocalBackend
 
     with EngineContext(_cluster_config(0)) as ctx:
         assert isinstance(ctx.backend, LocalBackend)

@@ -22,6 +22,7 @@ import os
 
 import pytest
 
+from repro.cluster import process_backend
 from repro.engine.context import EngineContext
 from repro.faults import FaultProfile, cluster_chaos_profile, gray_failure_schedule
 from tests.conftest import small_config
@@ -65,7 +66,7 @@ def _shm_segments() -> list[str]:
 
 
 def _run(config) -> tuple[dict, dict, list]:
-    with EngineContext(config) as ctx:
+    with EngineContext(config, process_backend) as ctx:
         result = dict(
             ctx.parallelize(DATA, 4).reduce_by_key(lambda a, b: a + b).collect()
         )
@@ -139,12 +140,12 @@ def test_hung_worker_fence_reaps_spill_files():
     """A hang fence kills the worker mid-write; respawn must reap the
     dead pid's spill files so /tmp never accretes orphans."""
     config = _schedule_config(0, FaultProfile(seed=0, cluster_hang_p=1.0))
-    with EngineContext(config) as ctx:
+    with EngineContext(config, process_backend) as ctx:
         result = dict(
             ctx.parallelize(DATA, 4).reduce_by_key(lambda a, b: a + b).collect()
         )
         stats = ctx.backend.stats()
-        spill_root = ctx._spill_root
+        spill_root = ctx.shuffle_manager.spill_root
         dead_pids = stats["heartbeat_fences"]
         leftovers = [
             path

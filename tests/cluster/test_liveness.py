@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.cluster.liveness import BEAT, DEAD, LIVE, SUSPECT, HeartbeatMonitor
+from repro.cluster import process_backend
 from repro.engine.context import EngineContext
 from repro.faults import FaultInjector, FaultProfile
 from tests.conftest import small_config
@@ -149,7 +150,7 @@ class TestHangEndToEnd:
         exact multiset — detection, respawn, and lineage recompute with
         zero lost or duplicated rows."""
         started = time.monotonic()
-        with EngineContext(_hang_config()) as ctx:
+        with EngineContext(_hang_config(), process_backend) as ctx:
             result = dict(
                 ctx.parallelize(DATA, 4)
                 .reduce_by_key(lambda a, b: a + b)
@@ -177,7 +178,7 @@ class TestHangEndToEnd:
         config = dataclasses.replace(
             _hang_config(), heartbeat_interval=0.0, rpc_deadline=0.5
         )
-        with EngineContext(config) as ctx:
+        with EngineContext(config, process_backend) as ctx:
             result = dict(
                 ctx.parallelize(DATA, 4)
                 .reduce_by_key(lambda a, b: a + b)
@@ -190,7 +191,7 @@ class TestHangEndToEnd:
         assert stats["heartbeat_fences"] == 0
 
     def test_generation_bumps_per_fence(self):
-        with EngineContext(_hang_config()) as ctx:
+        with EngineContext(_hang_config(), process_backend) as ctx:
             ctx.parallelize(DATA, 4).reduce_by_key(lambda a, b: a + b).collect()
             stats = ctx.backend.stats()
         # Every fence killed a generation and respawned the slot.
@@ -205,7 +206,7 @@ class TestHangEndToEnd:
             shuffle_partitions=4,
             heartbeat_interval=0.0,
         )
-        with EngineContext(config) as ctx:
+        with EngineContext(config, process_backend) as ctx:
             result = dict(
                 ctx.parallelize(DATA, 4)
                 .reduce_by_key(lambda a, b: a + b)

@@ -8,6 +8,7 @@ import dataclasses
 
 import pytest
 
+from repro.cluster import process_backend
 from repro.engine.context import EngineContext
 from repro.faults import cluster_chaos_profile
 from tests.conftest import small_config
@@ -35,7 +36,7 @@ def _chaos_config(seed: int):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_no_lost_or_duplicated_rows(seed):
-    with EngineContext(_chaos_config(seed)) as ctx:
+    with EngineContext(_chaos_config(seed), process_backend) as ctx:
         result = dict(
             ctx.parallelize(DATA, 4).reduce_by_key(lambda a, b: a + b).collect()
         )
@@ -55,7 +56,7 @@ def test_chaos_actually_fires():
     (otherwise the suite silently tests nothing)."""
     fired = 0
     for seed in SEEDS[:8]:
-        with EngineContext(_chaos_config(seed)) as ctx:
+        with EngineContext(_chaos_config(seed), process_backend) as ctx:
             ctx.parallelize(DATA, 4).reduce_by_key(lambda a, b: a + b).collect()
             fired += ctx.backend.stats()["crashes_injected"]
     assert fired > 0

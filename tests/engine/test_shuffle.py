@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import os
 import sys
@@ -9,9 +10,11 @@ import threading
 
 import pytest
 
+from repro.cluster.shuffle import ClusterShuffleManager
 from repro.engine.partitioner import HashPartitioner
 from repro.engine.shuffle import Aggregator, ShuffleDependency, ShuffleManager
-from repro.errors import EngineError
+from repro.errors import EngineError, FetchFailedError
+from repro.faults import FaultInjector, FaultProfile
 from repro.snb import generate, load_indexed, sq3
 from repro.sql.session import Session
 from tests.conftest import small_config
@@ -21,13 +24,33 @@ def make_dep(num_partitions: int = 4, **kwargs) -> ShuffleDependency:
     return ShuffleDependency(None, HashPartitioner(num_partitions), **kwargs)
 
 
+def write(manager: ShuffleManager, dep: ShuffleDependency, map_index: int, records) -> None:
+    """One map task's output, written through the manager's medium and
+    committed, as a map stage does it."""
+    output = manager.map_writer(dep)(map_index, records)
+    manager.commit_map_outputs(dep.shuffle_id, [output])
+
+
 class TestShuffleManager:
-    def test_write_then_fetch(self):
-        manager = ShuffleManager()
+    """The registry contract on the in-memory medium.
+
+    :class:`TestSpillShuffleManager` inherits every case and runs it on
+    spill files: one registry, two media, one contract.
+    """
+
+    @pytest.fixture()
+    def make_manager(self):
+        return lambda injector=None: ShuffleManager(injector)
+
+    @pytest.fixture()
+    def manager(self, make_manager):
+        return make_manager()
+
+    def test_write_then_fetch(self, manager):
         dep = make_dep(2)
         manager.register_shuffle(dep.shuffle_id, num_maps=2)
-        manager.write_map_output(dep, 0, [(0, "a"), (1, "b")])
-        manager.write_map_output(dep, 1, [(2, "c")])
+        write(manager, dep, 0, [(0, "a"), (1, "b")])
+        write(manager, dep, 1, [(2, "c")])
         fetched = {
             reduce_index: sorted(manager.fetch(dep.shuffle_id, reduce_index))
             for reduce_index in range(2)
@@ -39,33 +62,29 @@ class TestShuffleManager:
             for key, _v in records:
                 assert dep.partitioner.partition(key) == reduce_index
 
-    def test_fetch_unregistered_raises(self):
-        manager = ShuffleManager()
+    def test_fetch_unregistered_raises(self, manager):
         with pytest.raises(EngineError):
             list(manager.fetch(12345, 0))
 
-    def test_fetch_incomplete_raises(self):
-        manager = ShuffleManager()
+    def test_fetch_incomplete_raises(self, manager):
         dep = make_dep(2)
         manager.register_shuffle(dep.shuffle_id, num_maps=3)
-        manager.write_map_output(dep, 0, [])
+        write(manager, dep, 0, [])
         with pytest.raises(EngineError, match="incomplete"):
             list(manager.fetch(dep.shuffle_id, 0))
 
-    def test_register_idempotent(self):
-        manager = ShuffleManager()
+    def test_register_idempotent(self, manager):
         dep = make_dep()
         manager.register_shuffle(dep.shuffle_id, 1)
-        manager.write_map_output(dep, 0, [(1, 1)])
+        write(manager, dep, 0, [(1, 1)])
         manager.register_shuffle(dep.shuffle_id, 1)  # must not reset
         assert manager.is_complete(dep.shuffle_id)
 
-    def test_map_side_combine(self):
-        manager = ShuffleManager()
+    def test_map_side_combine(self, manager):
         agg = Aggregator(create=lambda v: v, merge=lambda a, b: a + b, combine=lambda a, b: a + b)
         dep = make_dep(1, aggregator=agg, map_side_combine=True)
         manager.register_shuffle(dep.shuffle_id, 1)
-        manager.write_map_output(dep, 0, [("k", 1)] * 100)
+        write(manager, dep, 0, [("k", 1)] * 100)
         records = list(manager.fetch(dep.shuffle_id, 0))
         assert records == [("k", 100)]  # combined before the wire
 
@@ -73,27 +92,25 @@ class TestShuffleManager:
         with pytest.raises(EngineError):
             make_dep(map_side_combine=True)
 
-    def test_remove_shuffle(self):
-        manager = ShuffleManager()
+    def test_remove_shuffle(self, manager):
         dep = make_dep(1)
         manager.register_shuffle(dep.shuffle_id, 1)
-        manager.write_map_output(dep, 0, [(1, 1)])
+        write(manager, dep, 0, [(1, 1)])
         manager.remove_shuffle(dep.shuffle_id)
+        stats = manager.stats()
+        assert (stats["shuffles"], stats["records"]) == (0, 0)
         with pytest.raises(EngineError):
             list(manager.fetch(dep.shuffle_id, 0))
 
-    def test_concurrent_map_writes(self):
-        manager = ShuffleManager()
+    def test_concurrent_map_writes(self, manager):
         dep = make_dep(4)
         num_maps = 16
         manager.register_shuffle(dep.shuffle_id, num_maps)
 
-        def write(map_index: int) -> None:
-            manager.write_map_output(
-                dep, map_index, [(map_index * 10 + j, map_index) for j in range(10)]
-            )
+        def write_one(map_index: int) -> None:
+            write(manager, dep, map_index, [(map_index * 10 + j, map_index) for j in range(10)])
 
-        threads = [threading.Thread(target=write, args=(i,)) for i in range(num_maps)]
+        threads = [threading.Thread(target=write_one, args=(i,)) for i in range(num_maps)]
         for t in threads:
             t.start()
         for t in threads:
@@ -102,11 +119,10 @@ class TestShuffleManager:
         total = sum(len(list(manager.fetch(dep.shuffle_id, r))) for r in range(4))
         assert total == num_maps * 10
 
-    def test_stats(self):
-        manager = ShuffleManager()
+    def test_stats(self, manager):
         dep = make_dep(2)
         manager.register_shuffle(dep.shuffle_id, 1)
-        manager.write_map_output(dep, 0, [(i, i) for i in range(7)])
+        write(manager, dep, 0, [(i, i) for i in range(7)])
         stats = manager.stats()
         assert stats["shuffles"] == 1
         assert stats["records"] == 7
@@ -115,11 +131,79 @@ class TestShuffleManager:
         ids = {make_dep().shuffle_id for _ in range(10)}
         assert len(ids) == 10
 
-    def test_register_reports_first_registration(self):
-        manager = ShuffleManager()
+    def test_register_reports_first_registration(self, manager):
         dep = make_dep(1)
         assert manager.register_shuffle(dep.shuffle_id, 1) is True
         assert manager.register_shuffle(dep.shuffle_id, 1) is False
+
+    def test_reduce_sizes_none_until_complete_then_summed(self, manager):
+        dep = make_dep(2)
+        manager.register_shuffle(dep.shuffle_id, 2)
+        assert manager.reduce_sizes(dep.shuffle_id) is None
+        write(manager, dep, 0, [(0, "a"), (1, "b"), (2, "c")])
+        assert manager.reduce_sizes(dep.shuffle_id) is None
+        write(manager, dep, 1, [(0, "d"), (1, "e")])
+        sizes = manager.reduce_sizes(dep.shuffle_id)
+        rows = [0, 0]
+        for key in (0, 1, 2, 0, 1):
+            rows[dep.partitioner.partition(key)] += 1
+        assert [r for r, _bytes in sizes] == rows
+        assert all(est > 0 for r, est in sizes if r)
+
+    def test_missing_map_indices(self, manager):
+        dep = make_dep(2)
+        assert manager.missing_map_indices(dep.shuffle_id) == []
+        manager.register_shuffle(dep.shuffle_id, 3)
+        write(manager, dep, 1, [(1, 1)])
+        assert manager.missing_map_indices(dep.shuffle_id) == [0, 2]
+
+    def test_injected_fetch_loss_names_its_victim(self, make_manager):
+        injector = FaultInjector(FaultProfile(seed=3, shuffle_loss_p=1.0, max_fires_per_site=1))
+        manager = make_manager(injector)
+        dep = make_dep(2)
+        manager.register_shuffle(dep.shuffle_id, 3)
+        for map_index in range(3):
+            write(manager, dep, map_index, [(map_index, map_index)])
+        with pytest.raises(FetchFailedError) as failure:
+            manager.fetch(dep.shuffle_id, 0)
+        victim = failure.value.map_index
+        assert victim in range(3)
+        assert manager.missing_map_indices(dep.shuffle_id) == [victim]
+        assert manager.lost_map_outputs == 1
+        write(manager, dep, victim, [(victim, victim)])
+        assert sorted(manager.fetch(dep.shuffle_id, 0)) == sorted(
+            (k, k) for k in range(3) if dep.partitioner.partition(k) == 0
+        )
+
+
+class TestSpillShuffleManager(TestShuffleManager):
+    """Every registry case again, with spill files as the medium."""
+
+    @pytest.fixture()
+    def make_manager(self, tmp_path):
+        return lambda injector=None: ClusterShuffleManager(str(tmp_path), injector)
+
+    def test_remove_shuffle_unlinks_its_files(self, manager):
+        dep = make_dep(2)
+        manager.register_shuffle(dep.shuffle_id, 2)
+        write(manager, dep, 0, [(0, 0)])
+        write(manager, dep, 1, [(1, 1)])
+        assert len(os.listdir(manager.spill_root)) == 2
+        manager.remove_shuffle(dep.shuffle_id)
+        assert os.listdir(manager.spill_root) == []
+
+    def test_fenced_generation_commit_is_rejected(self, manager):
+        dep = make_dep(1)
+        manager.register_shuffle(dep.shuffle_id, 2)
+        live = manager.map_writer(dep)(0, [(0, "live")])
+        zombie = dataclasses.replace(
+            manager.map_writer(dep)(1, [(1, "zombie")]), slot=0, generation=1
+        )
+        manager.note_fenced(0, 1)
+        manager.commit_map_outputs(dep.shuffle_id, [live, zombie])
+        assert manager.missing_map_indices(dep.shuffle_id) == [1]
+        assert manager.stats()["stale_commits_rejected"] == 1
+        assert os.listdir(manager.spill_root) == [os.path.basename(live.path)]
 
 
 def _add(a, b):

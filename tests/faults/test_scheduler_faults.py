@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.cluster.backend import ExecutorBackend
+from repro.engine.backend import ExecutorBackend
 from repro.engine.scheduler import DAGScheduler
 from repro.errors import (
     InjectedFault,
@@ -19,7 +19,7 @@ from repro.errors import (
     TaskError,
 )
 from repro.faults import FaultProfile
-from repro.serving.context import QueryContext, active
+from repro.engine.query import QueryContext, active
 from tests.faults.conftest import fault_config
 
 

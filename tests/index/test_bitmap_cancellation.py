@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import create_index
 from repro.errors import QueryCancelledError
-from repro.serving.context import QueryContext, active
+from repro.engine.query import QueryContext, active
 from repro.sql.functions import col
 
 SCHEMA = [("id", "long"), ("city", "string"), ("age", "long")]

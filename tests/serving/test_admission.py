@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import QueryCancelledError, QueryRejectedError
 from repro.serving.admission import AdmissionController
-from repro.serving.context import QueryContext
+from repro.engine.query import QueryContext
 
 from tests.serving.conftest import serving_config
 

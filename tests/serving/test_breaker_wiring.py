@@ -9,7 +9,7 @@ from repro.core import create_index
 from repro.errors import CircuitOpenError, RetryExhaustedError
 from repro.faults import FaultProfile
 from repro.serving.breaker import OPEN
-from repro.serving.context import QueryContext
+from repro.engine.query import QueryContext
 
 
 class TestIndexFallbackBreaker:

@@ -160,7 +160,7 @@ class TestCrashDuringServedLoad:
         # Occupy the only slot so the concurrent query is *shed* —
         # rejection is an error, not a hang, even as the store crashes.
         from repro.errors import QueryRejectedError
-        from repro.serving.context import QueryContext
+        from repro.engine.query import QueryContext
 
         holder = QueryContext.create()
         session.serving.admission.admit(holder)

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.errors import QueryCancelledError
-from repro.serving.context import (
+from repro.engine.query import (
     CancellationToken,
     QueryContext,
     activate,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import QueryCancelledError
-from repro.serving.context import QueryContext
+from repro.engine.query import QueryContext
 from repro.serving.memory import MemoryGovernor
 
 from tests.serving.conftest import serving_config

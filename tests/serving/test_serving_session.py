@@ -12,7 +12,7 @@ from repro.errors import (
     QueryCancelledError,
     QueryRejectedError,
 )
-from repro.serving.context import QueryContext
+from repro.engine.query import QueryContext
 from repro.sql.session import Session
 
 
