@@ -132,11 +132,17 @@ def _note_fallback(kind: str, expr: object, exc: BaseException) -> None:
 class _Emitter:
     """Accumulates indented statements, temps, and a constant pool."""
 
-    def __init__(self) -> None:
+    def __init__(self, refs: Sequence[str] | None = None) -> None:
         self.lines: list[str] = []
         self.depth = 1
         self._temps = itertools.count(1)
         self.consts: dict[str, Any] = {}
+        #: Source name per bound ordinal; ``None`` reads the row tuple
+        #: ``r``. A decoder sets it to the locals it decodes into.
+        self.refs = refs
+
+    def ref(self, ordinal: int) -> str:
+        return f"r[{ordinal}]" if self.refs is None else self.refs[ordinal]
 
     def temp(self) -> str:
         return f"t{next(self._temps)}"
@@ -179,7 +185,7 @@ def _gen(expr: E.Expression, em: _Emitter) -> str:
         return _gen(expr.child, em)
 
     if isinstance(expr, E.BoundReference):
-        return f"r[{expr.ordinal}]"
+        return em.ref(expr.ordinal)
 
     if isinstance(expr, E.Literal):
         value = expr.value
@@ -473,6 +479,21 @@ def _assemble(
     fn = types.FunctionType(code, _KERNEL_GLOBALS, name, consts or None)
     fn.__codegen_source__ = src
     return fn
+
+
+def _reinstance(fn: Callable[..., Any], consts: dict[str, Any]) -> Callable[..., Any]:
+    """Another instance of kernel ``fn``'s template: each constant named
+    in ``consts`` takes the new value, the others keep theirs."""
+    code = fn.__code__
+    defaults = fn.__defaults__ or ()
+    names = code.co_varnames[code.co_argcount - len(defaults) : code.co_argcount]
+    values = tuple(consts.get(name, old) for name, old in zip(names, defaults))
+    _check(code.co_name, mutable_consts(values))
+    with _lock:
+        STATS.cache_hits += 1
+    out = types.FunctionType(code, _KERNEL_GLOBALS, code.co_name, values or None)
+    out.__codegen_source__ = fn.__codegen_source__
+    return out
 
 
 def compile_value(expr: E.Expression) -> Callable[[tuple], Any]:

@@ -19,8 +19,9 @@ depends on:
 There is one engine: zone maps on every indexed partition and relation
 scan, cost-based bitmap-index planning, and adaptive execution
 (reduce-partition coalescing, runtime broadcast replanning) are always
-on, so no knob rebuilds an older engine. Only ``codegen_enabled`` still
-selects between two execution paths.
+on, and so are compiled kernels (an expression the compiler rejects
+falls back to the interpreter on its own), so no knob rebuilds an older
+engine.
 
 Fault tolerance adds a second family of knobs, mirroring Spark's
 ``spark.task.maxFailures`` / ``spark.speculation`` space: bounded task
@@ -168,12 +169,6 @@ class Config:
     #: Degrade a failing indexed operator (IndexLookup / IndexedJoin)
     #: to the equivalent vanilla plan instead of aborting the query.
     index_fallback: bool = True
-    #: Compile bound expression trees into Python functions and run the
-    #: hot operator loops batch-at-a-time (the whole-stage-codegen
-    #: analogue). Off forces the interpreted row-at-a-time paths; the
-    #: compiled paths also fall back per-expression on any compile
-    #: error, so disabling this is only needed for A/B measurement.
-    codegen_enabled: bool = True
     #: Target bytes per reduce partition: once a map stage has recorded
     #: its output sizes, the scheduler coalesces small adjacent shuffle
     #: buckets up to this size (the AQE analogue, always on).

@@ -243,10 +243,7 @@ class IndexedDataFrame:
         if key is None:
             return []
         partition = HashPartitioner(self.num_partitions).partition(key)
-        snapshot = self.version.snapshots[partition]
-        if self.session.config.codegen_enabled:
-            return snapshot.lookup_rows([key])
-        return list(snapshot.lookup(key))
+        return self.version.snapshots[partition].lookup_rows([key])
 
     def lookup_many(self, keys: Sequence[Any]) -> list[tuple]:
         """Bulk point lookups bypassing the planner (fast path).
@@ -262,14 +259,9 @@ class IndexedDataFrame:
         buckets = bucket_keys(keys, HashPartitioner(self.num_partitions))
         snapshots = self.version.snapshots
         out: list[tuple] = []
-        if self.session.config.codegen_enabled:
-            for snapshot, bucket in zip(snapshots, buckets):
-                if bucket:
-                    out.extend(snapshot.lookup_rows(bucket))
-        else:
-            for snapshot, bucket in zip(snapshots, buckets):
-                for key in bucket:
-                    out.extend(snapshot.lookup(key))
+        for snapshot, bucket in zip(snapshots, buckets):
+            if bucket:
+                out.extend(snapshot.lookup_rows(bucket))
         return out
 
     def lookup_latest(self, key: Any) -> tuple | None:

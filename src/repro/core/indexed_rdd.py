@@ -13,21 +13,28 @@ elide shuffles for co-partitioned operations.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from repro.core.partition import PartitionSnapshot
 from repro.engine.context import EngineContext
 from repro.engine.partitioner import HashPartitioner, bucket_keys
 from repro.engine.rdd import RDD
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sql.expressions import Expression
+
 
 class IndexedRowBatchRDD(RDD):
     """Decoded-row view over indexed partitions.
 
-    ``columns`` selects field ordinals to decode; decoding is
-    field-at-a-time from the binary row (a row store touches every row
-    regardless of how few columns are needed — the projection cost the
-    paper measures in Figure 2).
+    ``columns`` selects field ordinals to decode. A row store touches
+    every row regardless of how few columns are needed — the
+    projection cost the paper measures in Figure 2 — but the decoder
+    reads only the selected slots of each.
+
+    ``predicate``, bound to the decoded row, is a filter pushed into
+    the scan: only rows for which it is True come out, and the decoder
+    decides that before it decodes the rest of a row.
 
     ``keep`` / ``batch_keep`` carry zone-map pruning decisions: splits
     outside ``keep`` compute to empty, and a kept split restricted by
@@ -43,12 +50,14 @@ class IndexedRowBatchRDD(RDD):
         columns: Sequence[int] | None = None,
         keep: Sequence[int] | None = None,
         batch_keep: "dict[int, frozenset[int]] | None" = None,
+        predicate: "Expression | None" = None,
     ):
         super().__init__(ctx, [])
         self.snapshots = list(snapshots)
         self.columns = list(columns) if columns is not None else None
         self.keep = frozenset(keep) if keep is not None else None
         self.batch_keep = batch_keep
+        self.predicate = predicate
         self.partitioner = HashPartitioner(len(self.snapshots))
 
     @property
@@ -59,22 +68,9 @@ class IndexedRowBatchRDD(RDD):
         if self.keep is not None and split not in self.keep:
             return iter(())
         batches = self.batch_keep.get(split) if self.batch_keep else None
-        snapshot = self.snapshots[split]
-        if self.context.config.codegen_enabled:
-            # Bulk path: whole payload chunks through the compiled
-            # per-schema decoder (selective columns included).
-            return snapshot.scan_batches(self.columns, batches=batches)
-        if self.columns is None:
-            return snapshot.scan(batches)
-        codec = snapshot.partition.codec
-        columns = self.columns
-
-        def decode_selected() -> Iterator[tuple]:
-            scan = snapshot.partition.batches.scan(snapshot.watermark, batches)
-            for payload in scan:
-                yield tuple(codec.decode_field(payload, 0, c) for c in columns)
-
-        return decode_selected()
+        return self.snapshots[split].scan_batches(
+            self.columns, batches=batches, predicate=self.predicate
+        )
 
 
 class IndexLookupRDD(RDD):
@@ -107,10 +103,4 @@ class IndexLookupRDD(RDD):
         # Chaos site: a failing cTrie probe (simulating index
         # corruption / a dead executor holding the index partition).
         self.context.fault_injector.maybe_fail("index.probe", split)
-        snapshot = self.snapshots[split]
-        keys = self._by_partition[split]
-        if self.context.config.codegen_enabled:
-            yield from snapshot.lookup_rows(keys)
-            return
-        for key in keys:
-            yield from snapshot.lookup(key)
+        yield from self.snapshots[split].lookup_rows(self._by_partition[split])

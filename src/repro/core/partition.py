@@ -20,17 +20,20 @@ from __future__ import annotations
 import threading
 import weakref
 from itertools import chain
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.core.pointers import NULL_POINTER, PointerLayout
 from repro.core.rowbatch import HEADER_SIZE, BatchManager
 from repro.core.rowcodec import RowCodec, codec_for
 from repro.ctrie import CTrie
+from repro.engine.query import check_cancelled
+from repro.sql.pruning import PruningPredicate
 from repro.sql.types import StructType
-from repro.stats import PruningPredicate, ZoneMap
+from repro.stats import ZoneMap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.durability.wal import WALWriter
+    from repro.sql.expressions import Expression
 
 
 class PartitionSnapshot:  # analysis: shipped
@@ -76,14 +79,26 @@ class PartitionSnapshot:  # analysis: shipped
 
     # -- reads -----------------------------------------------------------
 
-    def lookup(self, key: Any) -> Iterator[tuple]:
+    def lookup(self, key: Any) -> list[tuple]:
         """All rows for ``key`` at this version, newest first."""
-        head = self.trie.get(key, NULL_POINTER)
-        if head == NULL_POINTER:
-            return
-        codec = self.partition.codec
-        for payload in self.partition.batches.chain(head):
-            yield codec.decode(payload)
+        return self.lookup_fn()(key)
+
+    def lookup_fn(self) -> Callable[[Any], list[tuple]]:
+        """:meth:`lookup` with the compiled chain walker resolved once,
+        for a caller that probes many keys one at a time."""
+        batches = self.partition.batches
+        walk = self.partition.codec.chain_decoder(batches.layout)
+        buffers = batches.buffers
+        get = self.trie.get
+
+        def lookup(key: Any) -> list[tuple]:
+            out: list[tuple] = []
+            head = get(key, NULL_POINTER)
+            if head != NULL_POINTER:
+                walk(buffers, head, out.append)
+            return out
+
+        return lookup
 
     def lookup_head(self, key: Any) -> tuple | None:
         """The most recently appended row for ``key``, or None."""
@@ -133,24 +148,29 @@ class PartitionSnapshot:  # analysis: shipped
         columns: Sequence[int] | None = None,
         chunk_rows: int = 4096,
         batches: "frozenset[int] | None" = None,
+        predicate: "Expression | None" = None,
     ) -> Iterator[tuple]:
         """Bulk-decoded scan via the compiled per-schema decoder.
 
         Row-for-row identical to :meth:`scan` (or to selective
         ``decode_field`` extraction when ``columns`` is given), but a
-        generated region decoder walks each batch buffer in place —
-        record headers included — instead of the per-record memoryview
-        slicing plus per-field codec loop. ``chunk_rows`` bounds the
-        rows decoded per decoder call so early-stopping consumers
-        (``take``, ``Limit``) don't force whole buffers.
+        region decoder walks each batch buffer in place — record
+        headers included — instead of the per-record memoryview
+        slicing plus per-field codec loop. ``predicate``, bound to the
+        decoded row, keeps only the rows for which it is True, decided
+        inside the decode loop. ``chunk_rows`` bounds the records
+        decoded per decoder call so early-stopping consumers (``take``,
+        ``Limit``) don't force whole buffers; cancellation is polled
+        once per chunk.
         """
-        decode = self.partition.codec.region_decoder(columns)
+        decode = self.partition.codec.region_decoder(columns, predicate)
         regions = self.partition.batches.regions(self.watermark, batches)
 
         def blocks() -> Iterator[list[tuple]]:
             for buf, end in regions:
                 base = 0
                 while base < end:
+                    check_cancelled()
                     rows, base = decode(buf, base, end, chunk_rows)
                     yield rows
 
@@ -512,7 +532,7 @@ class IndexedPartition:
 
     # -- live reads (latest version) --------------------------------------------
 
-    def lookup(self, key: Any) -> Iterator[tuple]:
+    def lookup(self, key: Any) -> list[tuple]:
         return self.snapshot().lookup(key)
 
     def scan(self) -> Iterator[tuple]:

@@ -33,7 +33,7 @@ from repro.errors import ReproError
 from repro.index.bitmap import iter_bits
 from repro.sql.expressions import Attribute, Expression
 from repro.sql.physical import PhysicalPlan, bind_expression
-from repro.stats import extract_pruning_predicates
+from repro.sql.pruning import extract_pruning_predicates
 
 
 class IndexedScanExec(PhysicalPlan):
@@ -135,12 +135,18 @@ class IndexedScanExec(PhysicalPlan):
         )
 
     def execute(self) -> RDD:
+        return self.execute_filtered(None)
+
+    def execute_filtered(self, condition: Expression | None) -> RDD:
+        """The scan with ``condition`` decided inside the decode loop:
+        a var-width row is decoded in full only when it survives."""
         return IndexedRowBatchRDD(
             self.ctx,
             self.version.snapshots,
             self.columns,
             keep=self._keep,
             batch_keep=self._batch_keep,
+            predicate=condition,
         )
 
     def describe(self) -> str:
@@ -253,29 +259,35 @@ class IndexedJoinExec(PhysicalPlan):
         build_columns = self.build_columns
         injector = self.ctx.fault_injector
         probe_chaos = injector if injector.enabled else None
+        lookups: list = [None] * len(snapshots)
         for key, probe_row in records:
             if key is None:
                 continue
             partition = partition_of(key)
             if probe_chaos is not None:
                 probe_chaos.maybe_fail("index.probe", partition)
-            snapshot = snapshots[partition]
-            for build_row in snapshot.lookup(key):
-                if build_columns is not None:
-                    build_row = tuple(build_row[c] for c in build_columns)
-                combined = (
-                    build_row + probe_row if build_on_left else probe_row + build_row
-                )
-                if extra is None or extra(combined) is True:
-                    yield combined
+            lookup = lookups[partition]
+            if lookup is None:
+                lookup = lookups[partition] = snapshots[partition].lookup_fn()
+            build_rows = lookup(key)
+            if not build_rows:
+                continue
+            if build_columns is not None:
+                build_rows = [tuple(r[c] for c in build_columns) for r in build_rows]
+            if build_on_left:
+                combined = [b + probe_row for b in build_rows]
+            else:
+                combined = [probe_row + b for b in build_rows]
+            if extra is not None:
+                combined = [c for c in combined if extra(c) is True]
+            yield from combined
 
     def execute(self) -> RDD:
         snapshots = self.version.snapshots
         n = len(snapshots)
         partitioner = HashPartitioner(n)
-        enabled = self.ctx.config.codegen_enabled
-        key_of = codegen.value_fn(self.probe_key, enabled)
-        extra = codegen.predicate_fn(self.extra, enabled)
+        key_of = codegen.value_fn(self.probe_key)
+        extra = codegen.predicate_fn(self.extra)
         keyed = self.children[0].execute().map(lambda row: (key_of(row), row))
 
         small_probe = (

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from repro.errors import CapacityError, SchemaError
 from repro.sql.types import BinaryType, DataType, StringType, StructType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sql.expressions import Expression
 
 _VAR_SLOT = struct.Struct("<HH")  # (offset, length) for var-width fields
 
@@ -189,6 +192,18 @@ class RowCodec:
 
     # ------------------------------------------------------------------
 
+    def _memo(self, key: tuple, build: Callable[[], Callable]) -> Callable:
+        """The decoder cached under ``key``, built on first use."""
+        cache = getattr(self, "_decoder_cache", None)
+        if cache is None:
+            cache = {}
+            self._decoder_cache = cache
+        decoder = cache.get(key)
+        if decoder is None:
+            decoder = build()
+            cache[key] = decoder
+        return decoder
+
     def batch_decoder(
         self, columns: Sequence[int] | None = None
     ) -> Callable[[Iterable[bytes]], list[tuple]]:
@@ -198,42 +213,33 @@ class RowCodec:
         memoized on the codec; results are identical to calling
         :meth:`decode` (or :meth:`decode_field` per column) row by row.
         """
-        key = None if columns is None else tuple(columns)
-        cache = getattr(self, "_decoder_cache", None)
-        if cache is None:
-            cache = {}
-            self._decoder_cache = cache
-        decoder = cache.get(key)
-        if decoder is None:
-            from repro.codegen.decoders import build_batch_decoder
+        from repro.codegen.decoders import build_batch_decoder
 
-            decoder = build_batch_decoder(self, columns)
-            cache[key] = decoder
-        return decoder
+        key = ("batch", None if columns is None else tuple(columns))
+        return self._memo(key, lambda: build_batch_decoder(self, columns))
 
     def region_decoder(
-        self, columns: Sequence[int] | None = None
+        self,
+        columns: Sequence[int] | None = None,
+        predicate: "Expression | None" = None,
     ) -> Callable[..., tuple[list[tuple], int]]:
-        """A compiled batch-buffer walker, memoized like
-        :meth:`batch_decoder`.
+        """A batch-buffer walker, memoized like :meth:`batch_decoder`.
 
         ``decoder(buf, base, end, max_rows) -> (rows, next_base)``
         decodes consecutive stored records (header + payload) straight
         out of a row-batch buffer; see
-        :func:`repro.codegen.decoders.build_region_decoder`.
+        :func:`repro.codegen.decoders.build_region_decoder`. With a
+        bound ``predicate`` the walker returns only the rows it keeps
+        (:func:`repro.codegen.decoders.build_filter_decoder`); those
+        are built per call, from cached templates.
         """
-        key = ("region", None if columns is None else tuple(columns))
-        cache = getattr(self, "_decoder_cache", None)
-        if cache is None:
-            cache = {}
-            self._decoder_cache = cache
-        decoder = cache.get(key)
-        if decoder is None:
-            from repro.codegen.decoders import build_region_decoder
+        from repro.codegen.decoders import build_filter_decoder, build_region_decoder
 
-            decoder = build_region_decoder(self, columns)
-            cache[key] = decoder
-        return decoder
+        key = ("region", None if columns is None else tuple(columns))
+        decode = self._memo(key, lambda: build_region_decoder(self, columns))
+        if predicate is None:
+            return decode
+        return build_filter_decoder(self, columns, predicate, decode)
 
     def chain_decoder(self, layout) -> Callable[..., None]:
         """A compiled backward-chain walker, memoized per pointer layout.
@@ -242,18 +248,10 @@ class RowCodec:
         backward chain (newest first) straight from the batch buffers;
         see :func:`repro.codegen.decoders.build_chain_decoder`.
         """
-        key = ("chain", layout.batch_bits, layout.offset_bits, layout.size_bits)
-        cache = getattr(self, "_decoder_cache", None)
-        if cache is None:
-            cache = {}
-            self._decoder_cache = cache
-        decoder = cache.get(key)
-        if decoder is None:
-            from repro.codegen.decoders import build_chain_decoder
+        from repro.codegen.decoders import build_chain_decoder
 
-            decoder = build_chain_decoder(self, layout)
-            cache[key] = decoder
-        return decoder
+        key = ("chain", layout.batch_bits, layout.offset_bits, layout.size_bits)
+        return self._memo(key, lambda: build_chain_decoder(self, layout))
 
 
 # ----------------------------------------------------------------------

@@ -44,7 +44,7 @@ from repro.sql.expressions import (
 from repro.sql.logical import Filter, Join, LogicalPlan, Project
 from repro.sql.physical import FilterExec, PhysicalPlan, ProjectExec
 from repro.sql.planner import Planner, estimate_rows, extract_equi_join_keys
-from repro.stats import extract_pruning_predicates
+from repro.sql.pruning import extract_pruning_predicates
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sql.session import Session
@@ -444,16 +444,12 @@ def indexed_strategy(plan: LogicalPlan, planner: Planner) -> PhysicalPlan | None
         if unwrapped is not None:
             relation, columns = unwrapped
             return IndexedScanExec(planner.ctx, relation.version, plan.output(), columns)
-        if (
-            planner.config.codegen_enabled
-            and isinstance(plan.child, Filter)
-            and isinstance(plan.child.child, IndexedRelation)
+        if isinstance(plan.child, Filter) and isinstance(
+            plan.child.child, IndexedRelation
         ):
-            # With codegen on the basic strategy fuses Project(Filter)
-            # into one kernel, planning the grandchild directly — which
-            # would bypass the bitmap comparison. Run it here; with
-            # codegen off, returning None lets the recursion reach the
-            # Filter(IndexedRelation) case above instead.
+            # The basic strategy fuses Project(Filter) into one kernel,
+            # planning the grandchild directly — which would bypass the
+            # bitmap comparison. Run it here.
             return _plan_bitmap_vs_scan(
                 plan.child,
                 plan.child.condition,

@@ -70,6 +70,22 @@ class ShuffleDependencyEdge(Dependency):
         self.shuffle = dep
 
 
+#: Rows a count pulls per ``islice``: memory stays bounded while the
+#: counting itself runs in C.
+COUNT_CHUNK_ROWS = 4096
+
+
+def _count(items: Iterable[Any]) -> int:
+    """How many items there are, without a Python step per item."""
+    it = iter(items)
+    total = 0
+    while True:
+        n = len(list(itertools.islice(it, COUNT_CHUNK_ROWS)))
+        total += n
+        if n < COUNT_CHUNK_ROWS:
+            return total
+
+
 class RDD(ABC):
     """Base class for all RDDs.
 
@@ -360,7 +376,7 @@ class RDD(ABC):
         return [x for part in parts for x in part]
 
     def count(self) -> int:
-        return sum(self.context.run_job(self, lambda it: sum(1 for _ in it)))
+        return sum(self.context.run_job(self, _count))
 
     def take(self, n: int) -> list[Any]:
         """Collect up to ``n`` elements, scanning partitions in order."""

@@ -36,7 +36,7 @@ import threading
 from array import array
 from typing import Any, Iterator, Sequence
 
-from repro.stats import PruningPredicate
+from repro.sql.pruning import PruningPredicate
 
 #: Delta positions buffered per partition before folding into the
 #: merged bitmaps. Small enough that a snapshot-forced merge is cheap,

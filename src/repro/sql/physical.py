@@ -31,7 +31,7 @@ from repro.sql.expressions import (
 )
 from repro.sql.relation import BaseRelation
 from repro.sql.types import StructField, StructType
-from repro.stats import extract_pruning_predicates
+from repro.sql.pruning import extract_pruning_predicates
 
 
 def bind_expression(expr: Expression, input_attrs: Sequence[Attribute]) -> Expression:
@@ -75,6 +75,13 @@ class PhysicalPlan:
 
     def execute(self) -> RDD:
         raise NotImplementedError
+
+    def execute_filtered(self, condition: Expression) -> RDD | None:
+        """This plan's rows for which ``condition`` (bound to
+        ``output``) is True, when the source can filter as it reads;
+        ``None`` otherwise. A filter sitting on the plan calls it with
+        a condition that compiles."""
+        return None
 
     def pretty(self, indent: int = 0) -> str:
         line = "  " * indent + self.describe()
@@ -171,17 +178,16 @@ class FilterExec(PhysicalPlan):
 
     def execute(self) -> RDD:
         predicate = self.condition
-        if self.ctx.config.codegen_enabled:
-            kernel = codegen.try_filter_project_kernel(predicate, None)
-            if kernel is not None:
-                return self.children[0].execute().map_partitions(
-                    codegen.chunked(kernel), preserves_partitioning=True
-                )
-
-        def keep(row: tuple) -> bool:
-            return predicate.eval(row) is True
-
-        return self.children[0].execute().filter(keep)
+        child = self.children[0]
+        kernel = codegen.try_filter_project_kernel(predicate, None)
+        if kernel is None:
+            return child.execute().filter(lambda row: predicate.eval(row) is True)
+        pushed = child.execute_filtered(predicate)
+        if pushed is not None:
+            return pushed
+        return child.execute().map_partitions(
+            codegen.chunked(kernel), preserves_partitioning=True
+        )
 
     def describe(self) -> str:
         return f"Filter[{self.condition!r}]"
@@ -192,9 +198,11 @@ class ProjectExec(PhysicalPlan):
 
     ``fused_filter`` carries a selection predicate evaluated against
     the *child's* rows before projecting — the planner supplies it for
-    a ``Project(Filter(...))`` pair when codegen is on, so filter and
-    projection run as one compiled batch kernel (the moral equivalent
-    of Spark fusing both into a single WholeStageCodegen stage).
+    a ``Project(Filter(...))`` pair, so filter and projection run as
+    one compiled batch kernel (the moral equivalent of Spark fusing
+    both into a single WholeStageCodegen stage). A child that filters
+    as it reads (:meth:`PhysicalPlan.execute_filtered`) takes the
+    filter instead, and the kernel only projects.
     """
 
     PARTITIONING = "narrow"
@@ -225,14 +233,17 @@ class ProjectExec(PhysicalPlan):
     def execute(self) -> RDD:
         exprs = self.bound
         condition = self.fused_filter
-        if self.ctx.config.codegen_enabled:
-            kernel = codegen.try_filter_project_kernel(condition, exprs)
-            if kernel is not None:
-                return self.children[0].execute().map_partitions(
-                    codegen.chunked(kernel)
-                )
+        child = self.children[0]
+        kernel = codegen.try_filter_project_kernel(condition, exprs)
+        if kernel is not None:
+            pushed = None if condition is None else child.execute_filtered(condition)
+            if pushed is not None:
+                project = codegen.try_filter_project_kernel(None, exprs)
+                assert project is not None  # a part of a kernel that compiled
+                return pushed.map_partitions(codegen.chunked(project))
+            return child.execute().map_partitions(codegen.chunked(kernel))
 
-        child_rdd = self.children[0].execute()
+        child_rdd = child.execute()
         if condition is not None:
             child_rdd = child_rdd.filter(lambda row: condition.eval(row) is True)
 
@@ -318,14 +329,11 @@ def _bind_orders(
     ]
 
 
-def _sort_key_fn(
-    orders: Sequence[SortOrder], codegen_enabled: bool
-) -> Callable[[tuple], _SortKey]:
+def _sort_key_fn(orders: Sequence[SortOrder]) -> Callable[[tuple], _SortKey]:
     """The composite sort key of bound ``orders``: ascending order of
     the key is the requested row order, nulls placed as asked."""
     getters = [
-        (codegen.value_fn(o.child, codegen_enabled), o.ascending, o.nulls_first)
-        for o in orders
+        (codegen.value_fn(o.child), o.ascending, o.nulls_first) for o in orders
     ]
 
     def key(row: tuple) -> _SortKey:
@@ -356,7 +364,7 @@ class SortExec(PhysicalPlan):
         self.orders = _bind_orders(orders, child.output)
 
     def execute(self) -> RDD:
-        key_fn = _sort_key_fn(self.orders, self.ctx.config.codegen_enabled)
+        key_fn = _sort_key_fn(self.orders)
         return self.children[0].execute().sort_by(key_fn)
 
     def describe(self) -> str:
@@ -386,7 +394,7 @@ class TakeOrderedExec(PhysicalPlan):
         n = self.n
         if n == 0:
             return self.ctx.parallelize([], 1)
-        key_fn = _sort_key_fn(self.orders, self.ctx.config.codegen_enabled)
+        key_fn = _sort_key_fn(self.orders)
 
         def local_top(rows: Iterator[tuple]) -> Iterator[tuple]:
             return iter(heapq.nsmallest(n, rows, key=key_fn))
@@ -502,7 +510,7 @@ class _AggSpec:
             return acc[1]
         return acc
 
-    def make_updater(self, enabled: bool = True) -> Callable[[Any, tuple], Any]:
+    def make_updater(self) -> Callable[[Any, tuple], Any]:
         """A hoisted ``(acc, row) -> acc`` closure.
 
         Equivalent to :meth:`update` but with the string dispatch
@@ -515,7 +523,7 @@ class _AggSpec:
                 return lambda acc, row: acc + 1
             get = lambda row: 1  # noqa: E731 - matches update()'s default
         else:
-            get = codegen.value_fn(self.value_expr, enabled)
+            get = codegen.value_fn(self.value_expr)
 
         if fn_name == "count":
             return lambda acc, row: acc + (0 if get(row) is None else 1)
@@ -647,12 +655,11 @@ class HashAggregateExec(PhysicalPlan):
         tree walks and string dispatch.
         """
         specs = self._specs
-        enabled = self.ctx.config.codegen_enabled
         if self.grouping_bound:
-            key_of = codegen.key_fn(self.grouping_bound, enabled=enabled)
+            key_of = codegen.key_fn(self.grouping_bound)
         else:
             key_of = lambda row: ()  # noqa: E731 - global aggregate
-        updaters = list(enumerate(spec.make_updater(enabled) for spec in specs))
+        updaters = list(enumerate(spec.make_updater() for spec in specs))
 
         def partial(rows: Iterator[tuple]) -> Iterator[tuple[tuple, list]]:
             groups: dict[tuple, list] = {}
@@ -747,10 +754,9 @@ class ShuffledHashJoinExec(PhysicalPlan):
         how = self.how
         lwidth = len(self.children[0].output)
         rwidth = len(self.children[1].output)
-        enabled = self.ctx.config.codegen_enabled
-        lkey = codegen.key_fn(self.left_keys, null_to_none=True, enabled=enabled)
-        rkey = codegen.key_fn(self.right_keys, null_to_none=True, enabled=enabled)
-        extra = codegen.predicate_fn(self.extra, enabled)
+        lkey = codegen.key_fn(self.left_keys, null_to_none=True)
+        rkey = codegen.key_fn(self.right_keys, null_to_none=True)
+        extra = codegen.predicate_fn(self.extra)
 
         left_kv = self.children[0].execute().map(lambda r: (lkey(r), r))
         right_kv = self.children[1].execute().map(lambda r: (rkey(r), r))
@@ -882,10 +888,9 @@ class BroadcastHashJoinExec(PhysicalPlan):
     def execute(self) -> RDD:
         how = self.how
         rwidth = len(self.children[1].output)
-        enabled = self.ctx.config.codegen_enabled
-        lkey = codegen.key_fn(self.left_keys, null_to_none=True, enabled=enabled)
-        rkey = codegen.key_fn(self.right_keys, null_to_none=True, enabled=enabled)
-        extra = codegen.predicate_fn(self.extra, enabled)
+        lkey = codegen.key_fn(self.left_keys, null_to_none=True)
+        rkey = codegen.key_fn(self.right_keys, null_to_none=True)
+        extra = codegen.predicate_fn(self.extra)
 
         build: dict[tuple, list[tuple]] = {}
         for rrow in self.children[1].execute().collect():

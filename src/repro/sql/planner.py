@@ -232,11 +232,9 @@ def basic_strategy(plan: LogicalPlan, planner: Planner) -> PhysicalPlan | None:
                 planner.ctx, plan.child.relation, plan.output(), columns
             )
         # Project over Filter → one fused compiled filter+project
-        # kernel (whole-stage-codegen fusion). Only taken when codegen
-        # is on so the interpreted A/B plans keep the two-operator
-        # shape; indexed strategies run before this one and are
-        # unaffected.
-        if isinstance(plan.child, Filter) and planner.config.codegen_enabled:
+        # kernel (whole-stage-codegen fusion). Indexed strategies run
+        # before this one and plan their own Project(Filter) shapes.
+        if isinstance(plan.child, Filter):
             child_exec = planner.plan(plan.child.child)
             _apply_pruning(child_exec, plan.child.condition)
             return ProjectExec(

@@ -4,17 +4,18 @@ The paper's Indexed DataFrame wins by *skipping work* — ``getRows``
 touches one hash partition instead of scanning all of them (§2). This
 module generalizes that idea into lightweight, updatable per-partition
 and per-batch summaries (zone maps, in the CUBIT sense: cheap min/max /
-null-count sketches that stay correct under appends) plus the predicate
-analysis that turns a filter condition into sound skip decisions.
+null-count sketches that stay correct under appends). The predicate
+analysis that turns a filter condition into skip decisions is SQL's
+(:mod:`repro.sql.pruning`); this leaf module only consumes its
+predicates.
 
-Three pieces live here because every layer needs them:
+Two pieces live here because every layer needs them:
 
 * :class:`ColumnStats` / :class:`ZoneMap` — incremental per-column
   summaries maintained by the storage layer (row batches, indexed
   partitions) and computed lazily by the vanilla relations;
-* :func:`extract_pruning_predicates` / :meth:`ZoneMap.may_match` — the
-  planner-side analysis: which conjuncts of a filter are prunable, and
-  whether a given zone can possibly contain a matching row;
+  :meth:`ZoneMap.may_match` decides whether a zone can possibly
+  contain a row matching a list of pruning predicates;
 * :class:`PruningMetrics` — counters proving what was skipped, surfaced
   by benchmarks, tests, and the CI smoke job.
 
@@ -28,11 +29,10 @@ unknown operators — degrades to "may match".
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-#: Pruning predicate operators understood by :meth:`ZoneMap.may_match`.
-_COMPARISONS = ("eq", "in", "lt", "le", "gt", "ge", "isnull", "notnull")
-
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sql.pruning import PruningPredicate
 
 class ColumnStats:
     """Incremental min/max/null-count summary of one column.
@@ -201,100 +201,6 @@ def _column_may_match(stats: ColumnStats, rows: int, pred: "PruningPredicate") -
     except TypeError:
         return True  # predicate literal not comparable to the column
     return True
-
-
-class PruningPredicate:
-    """One prunable conjunct: ``column <op> literal(s)``."""
-
-    __slots__ = ("ordinal", "op", "values")
-
-    def __init__(self, ordinal: int, op: str, values: tuple = ()):
-        if op not in _COMPARISONS:
-            raise ValueError(f"unknown pruning operator {op!r}")
-        self.ordinal = ordinal
-        self.op = op
-        self.values = values
-
-    def with_ordinal(self, ordinal: int) -> "PruningPredicate":
-        return PruningPredicate(ordinal, self.op, self.values)
-
-    def __repr__(self) -> str:
-        if self.op in ("isnull", "notnull"):
-            return f"#{self.ordinal} {self.op}"
-        shown = self.values[0] if self.op != "in" else list(self.values)
-        return f"#{self.ordinal} {self.op} {shown!r}"
-
-
-def extract_pruning_predicates(condition, attrs) -> list[PruningPredicate]:
-    """The prunable conjuncts of ``condition`` against ``attrs``.
-
-    Recognizes ``attr <cmp> literal`` (either operand order), ``attr IN
-    (literals)``, and ``attr IS [NOT] NULL``. Conjuncts referencing
-    NULL literals or non-attribute operands are ignored (never pruned
-    on), keeping the analysis trivially sound.
-    """
-    # Imported lazily: storage-layer users of this module must not pull
-    # the SQL expression tree in at import time.
-    from repro.sql.expressions import (
-        Attribute,
-        EqualTo,
-        GreaterThan,
-        GreaterThanOrEqual,
-        In,
-        IsNotNull,
-        IsNull,
-        LessThan,
-        LessThanOrEqual,
-        Literal,
-        split_conjuncts,
-    )
-
-    ordinals = {a.expr_id: i for i, a in enumerate(attrs)}
-    flipped = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "eq"}
-    ops = {
-        EqualTo: "eq",
-        LessThan: "lt",
-        LessThanOrEqual: "le",
-        GreaterThan: "gt",
-        GreaterThanOrEqual: "ge",
-    }
-
-    out: list[PruningPredicate] = []
-    for conjunct in split_conjuncts(condition):
-        if isinstance(conjunct, IsNull) and isinstance(conjunct.child, Attribute):
-            ordinal = ordinals.get(conjunct.child.expr_id)
-            if ordinal is not None:
-                out.append(PruningPredicate(ordinal, "isnull"))
-            continue
-        if isinstance(conjunct, IsNotNull) and isinstance(conjunct.child, Attribute):
-            ordinal = ordinals.get(conjunct.child.expr_id)
-            if ordinal is not None:
-                out.append(PruningPredicate(ordinal, "notnull"))
-            continue
-        if isinstance(conjunct, In):
-            if isinstance(conjunct.value, Attribute) and all(
-                isinstance(o, Literal) for o in conjunct.options
-            ):
-                ordinal = ordinals.get(conjunct.value.expr_id)
-                values = tuple(o.value for o in conjunct.options)
-                if ordinal is not None and values and None not in values:
-                    out.append(PruningPredicate(ordinal, "in", values))
-            continue
-        op = ops.get(type(conjunct))
-        if op is None:
-            continue
-        left, right = conjunct.left, conjunct.right
-        if isinstance(left, Attribute) and isinstance(right, Literal):
-            attr, literal, final_op = left, right, op
-        elif isinstance(right, Attribute) and isinstance(left, Literal):
-            attr, literal, final_op = right, left, flipped[op]
-        else:
-            continue
-        ordinal = ordinals.get(attr.expr_id)
-        if ordinal is None or literal.value is None:
-            continue
-        out.append(PruningPredicate(ordinal, final_op, (literal.value,)))
-    return out
 
 
 class PruningMetrics:

@@ -90,7 +90,6 @@ def test_query_with_unsupported_filter_still_correct(indexed_session, caplog):
     compiler rejects must produce interpreted-identical results while
     recording the fallback."""
     session = indexed_session
-    assert session.config.codegen_enabled
     from repro.sql.column import Column
 
     rows = [(i, f"u{i % 3}") for i in range(30)] + [(99, None)]

@@ -24,14 +24,9 @@ from repro.sql.expressions import (
     LessThan,
     Literal,
 )
+from repro.sql.pruning import PruningPredicate, extract_pruning_predicates
 from repro.sql.types import LongType, StringType, StructField, StructType
-from repro.stats import (
-    ColumnStats,
-    PruningMetrics,
-    PruningPredicate,
-    ZoneMap,
-    extract_pruning_predicates,
-)
+from repro.stats import ColumnStats, PruningMetrics, ZoneMap
 
 SCHEMA = StructType(
     [

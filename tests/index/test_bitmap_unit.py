@@ -11,7 +11,7 @@ from repro.index.bitmap import (
     iter_bits,
     program_ordinals,
 )
-from repro.stats import PruningPredicate
+from repro.sql.pruning import PruningPredicate
 
 
 def indexed_rows(values, ordinal=0, **kwargs) -> PartitionBitmapIndex:

@@ -106,7 +106,7 @@ class TestBasicOperators:
         b = Attribute("b", StringType())
         rows = [(1, "b"), (None, "a"), (2, "a"), (1, None), (None, "c"), (2, "b"), (1, "a")]
         orders = [SortOrder(a, True, nulls_first), SortOrder(b, False, nulls_first)]
-        key = _sort_key_fn(_bind_orders(orders, [a, b]), ctx.config.codegen_enabled)
+        key = _sort_key_fn(_bind_orders(orders, [a, b]))
         in_place = ctx.parallelize(rows, 1).sort_by(key).collect()
         assert in_place == ctx.parallelize(rows, 3).sort_by(key).collect() == expected
         assert SortExec(orders, local(ctx, rows, [a, b])).execute().collect() == expected

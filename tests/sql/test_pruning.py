@@ -176,14 +176,9 @@ class TestLookupMany:
         )
         assert got == planned == [(3, "name_3"), (50, "name_50"), (199, "name_199")]
 
-    def test_interpreted_mode_agrees(self):
-        session = Session(small_config(codegen_enabled=False))
-        enable_indexing(session)
-        try:
-            df = session.create_dataframe(
-                [(i, i * 2) for i in range(50)], [("id", "long"), ("v", "long")]
-            )
-            indexed = create_index(df, "id")
-            assert sorted(indexed.lookup_many([1, 2, 3])) == [(1, 2), (2, 4), (3, 6)]
-        finally:
-            session.stop()
+    def test_matches_python_rows(self, indexed_session):
+        df = indexed_session.create_dataframe(
+            [(i, i * 2) for i in range(50)], [("id", "long"), ("v", "long")]
+        )
+        indexed = create_index(df, "id")
+        assert sorted(indexed.lookup_many([1, 2, 3])) == [(1, 2), (2, 4), (3, 6)]

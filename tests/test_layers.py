@@ -67,8 +67,6 @@ ALLOWED = {
         "item 7: the codegen self-check rules move out of the analyzer",
     ("repro.sql.physical", "repro.codegen"):
         "item 4: column kernels replace the per-row codegen kernels",
-    ("repro.stats", "repro.sql.expressions"):
-        "item 9: extract_pruning_predicates moves into repro.sql",
 }
 
 
