@@ -23,14 +23,18 @@ promoting PR 1's fetch-failure fault model to real process loss — and
 fails the in-flight attempt with :class:`~repro.errors.WorkerLostError`,
 which the scheduler's retry policy treats as transient.
 
-Cross-process cancellation mirrors the active query's token into a
-shared one-byte flag (sound because the scheduler's job lock admits one
-job at a time): every worker-side ``check_cancelled`` poll reads the
-flag through a :class:`~repro.cluster.worker.SharedFlagToken`.
+Jobs run concurrently, so the backend keeps no per-job state: the
+scheduler passes each dispatch's attempt number, and cancellation is per
+slot. Each slot owns a shared cancel flag its worker inherits through
+fork; while a task runs there, the dispatcher mirrors that task's query
+token into the flag, and every worker-side ``check_cancelled`` poll
+reads it through a :class:`~repro.cluster.worker.SharedFlagToken`. A
+cancel therefore reaches only the slots running that query's tasks.
 """
 
 from __future__ import annotations
 
+import functools
 import glob
 import multiprocessing
 import os
@@ -100,6 +104,9 @@ class _WorkerSlot:
 
     __slots__ = (
         "slot_id",
+        "flag",
+        "lock",
+        "query",
         "generation",
         "process",
         "conn",
@@ -109,8 +116,14 @@ class _WorkerSlot:
         "pid",
     )
 
-    def __init__(self, slot_id: int) -> None:
+    def __init__(self, slot_id: int, flag) -> None:
         self.slot_id = slot_id
+        #: Shared cancel flag, inherited by every worker this slot forks:
+        #: 0 = live; nonzero = a cancel reason code (worker.py).
+        self.flag = flag
+        self.lock = threading.Lock()
+        #: The query whose task is on the slot now, if any.
+        self.query: QueryContext | None = None  # guarded-by: lock
         self.generation = 0
         self.process = None
         self.conn = None
@@ -118,6 +131,12 @@ class _WorkerSlot:
         self.queue: SimpleQueue = SimpleQueue()
         self.thread: threading.Thread | None = None
         self.pid: int | None = None
+
+    def mirror_cancel(self, query: QueryContext, reason: str) -> None:
+        """Token listener: flag the slot if ``query``'s task is still on it."""
+        with self.lock:
+            if self.query is query:
+                self.flag.value = encode_cancel_reason(reason)
 
 
 class ProcessBackend(ExecutorBackend):
@@ -146,10 +165,6 @@ class ProcessBackend(ExecutorBackend):
         self._ship = ship_store
         self._injector = injector or NULL_INJECTOR
         self._codec = TaskCodec(ship_store)
-        #: Shared one-byte cancellation flag, inherited through fork.
-        #: 0 = live; nonzero = a cancel reason code (worker.py).
-        self._flag = self._mp.RawValue("i", 0)
-        self._listener: tuple[Any, Callable[[str], None]] | None = None
         self._lock = threading.Lock()
         self._counters = {  # guarded-by: _lock
             "tasks_dispatched": 0,
@@ -168,11 +183,6 @@ class ProcessBackend(ExecutorBackend):
         #: was killed. Consumed by the dispatcher's death path to pick
         #: ClusterTimeoutError over WorkerLostError.
         self._fence_reasons: dict[tuple[int, int], str] = {}  # guarded-by: _lock
-        #: Per-split dispatch attempt counters for gray-failure draws
-        #: (reset at each job, so each job's first dispatch of a split
-        #: is attempt 0, the only one that may fire; the injector's
-        #: per-key count gives each job fresh draws).
-        self._attempts: dict[int, int] = {}  # guarded-by: _lock
         self._owns_spill_root = owns_spill_root
         self.pool = ThreadPoolExecutor(
             max_workers=max(config.executor_threads, num_workers),
@@ -187,7 +197,9 @@ class ProcessBackend(ExecutorBackend):
                 self._on_heartbeat_dead,
                 self._injector,
             )
-        self._slots = [_WorkerSlot(i) for i in range(num_workers)]
+        self._slots = [
+            _WorkerSlot(i, self._mp.RawValue("i", 0)) for i in range(num_workers)
+        ]
         for slot in self._slots:
             self._spawn(slot)
             slot.thread = threading.Thread(
@@ -224,7 +236,7 @@ class ProcessBackend(ExecutorBackend):
                 child_conn,
                 slot.slot_id,
                 self._worker_config,
-                self._flag,
+                slot.flag,
                 beat_send,
                 slot.generation,
             ),
@@ -292,10 +304,9 @@ class ProcessBackend(ExecutorBackend):
                 except (OSError, BrokenPipeError, ValueError):
                     pass
                 return
-            payload, box = item
+            payload, box, query = item
             try:
-                slot.conn.send_bytes(payload)
-                raw = self._recv_reply(slot)
+                raw = self._round_trip(slot, payload, query)
             except (EOFError, OSError, BrokenPipeError):
                 dead_pid = slot.pid or -1
                 dead_generation = slot.generation
@@ -369,6 +380,26 @@ class ProcessBackend(ExecutorBackend):
             else:
                 box.set_exception(payload_obj)
 
+    def _round_trip(
+        self, slot: _WorkerSlot, payload: bytes, query: QueryContext | None
+    ) -> bytes:
+        """Send one envelope and receive its reply, with ``query``'s
+        cancellation mirrored into the slot's flag for exactly as long."""
+        with slot.lock:
+            slot.query = query
+        mirror = functools.partial(slot.mirror_cancel, query)
+        if query is not None:
+            query.token.add_listener(mirror)
+        try:
+            slot.conn.send_bytes(payload)
+            return self._recv_reply(slot)
+        finally:
+            if query is not None:
+                query.token.remove_listener(mirror)
+            with slot.lock:
+                slot.query = None
+                slot.flag.value = 0
+
     def _recv_reply(self, slot: _WorkerSlot) -> bytes:
         """Receive one reply, enforcing the per-RPC deadline.
 
@@ -414,8 +445,13 @@ class ProcessBackend(ExecutorBackend):
     # -- backend surface ------------------------------------------------
 
     def run_task(
-        self, task: Callable[[int], Any], split: int, prefer_healthy: bool = False
+        self,
+        task: Callable[[int], Any],
+        split: int,
+        attempt: int = 0,
+        prefer_healthy: bool = False,
     ) -> Any:
+        query = current_query()
         if self._injector.should_fire("cluster.worker_crash", split):
             # A crash directive instead of the task: the worker hard-
             # exits, the dispatcher raises WorkerLostError, and the
@@ -426,10 +462,10 @@ class ProcessBackend(ExecutorBackend):
             envelope = {
                 "task": task,
                 "split": split,
-                "query": self._query_info(current_query()),
+                "query": self._query_info(query),
                 "plan": self._shuffles.export_plan(),
             }
-            self._draw_chaos(envelope, split)
+            self._draw_chaos(envelope, split, attempt)
             try:
                 payload = MSG_TASK + self._codec.dumps_envelope(envelope)
             except FAIL_STOP:
@@ -439,9 +475,9 @@ class ProcessBackend(ExecutorBackend):
                 return task(split)
         slot = self._pick_slot(split, prefer_healthy)
         box: Future = Future()
-        slot.queue.put((payload, box))
+        slot.queue.put((payload, box, query))
         self._bump("tasks_dispatched")
-        return _await_result(box, current_query())
+        return _await_result(box, query)
 
     def _pick_slot(self, split: int, prefer_healthy: bool) -> _WorkerSlot:
         slot = self._slots[split % len(self._slots)]
@@ -458,19 +494,16 @@ class ProcessBackend(ExecutorBackend):
                 return other
         return slot
 
-    def _draw_chaos(self, envelope: dict, split: int) -> None:
+    def _draw_chaos(self, envelope: dict, split: int, attempt: int) -> None:
         """Draw this dispatch's gray failures (driver-side, keyed by
-        split and per-job attempt, so a run replays bit-identically from
-        its seed) and ship the winning directive in the envelope. Sites
-        are mutually exclusive per dispatch — a worker cannot hang *and*
-        drop."""
+        split and the job's attempt number, so a run replays
+        bit-identically from its seed) and ship the winning directive in
+        the envelope. Sites are mutually exclusive per dispatch — a
+        worker cannot hang *and* drop."""
         injector = self._injector
         profile = injector.profile
         if profile is None:
             return
-        with self._lock:
-            attempt = self._attempts.get(split, 0)
-            self._attempts[split] = attempt + 1
         if injector.should_fire("cluster.hang", split, attempt):
             envelope["chaos"] = "hang"
             self._bump("hangs_injected")
@@ -505,33 +538,6 @@ class ProcessBackend(ExecutorBackend):
             "priority": query.priority,
             "deadline": query.deadline,
         }
-
-    def begin_job(self, query: QueryContext | None) -> None:
-        # One job at a time (scheduler job lock), so a single shared
-        # flag and a single mirrored token are sound.
-        self._flag.value = 0
-        with self._lock:
-            # Schedule draws are keyed (site, split, attempt) *per job*:
-            # the same job replayed from the same seed sees the same
-            # directives regardless of what ran before it.
-            self._attempts.clear()
-        if query is None:
-            return
-        flag = self._flag
-
-        def mirror(reason: str) -> None:
-            if flag.value == 0:
-                flag.value = encode_cancel_reason(reason)
-
-        self._listener = (query.token, mirror)
-        query.token.add_listener(mirror)
-
-    def end_job(self, query: QueryContext | None) -> None:
-        if self._listener is not None:
-            token, mirror = self._listener
-            token.remove_listener(mirror)
-            self._listener = None
-        self._flag.value = 0
 
     def stats(self) -> dict[str, int]:
         with self._lock:

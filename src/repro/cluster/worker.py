@@ -12,8 +12,8 @@ inside shipped RDD graphs. It exposes exactly the surface task
 fault injector — and refuses driver-only operations (``run_job``)
 loudly instead of deadlocking.
 
-Cross-process cancellation: the driver mirrors the active query's
-cancel into a shared one-byte flag; the worker activates a
+Cross-process cancellation: while a task runs, the driver mirrors its
+query's cancel into the slot's shared flag; the worker activates a
 :class:`QueryContext` whose token reads that flag, so every existing
 ``check_cancelled`` poll site works unmodified across the boundary.
 Deadlines ship as absolute ``time.monotonic`` instants, which share an
@@ -58,12 +58,12 @@ def decode_cancel_reason(code: int) -> str:
 
 
 class SharedFlagToken:
-    """Token facade over the backend's shared cancellation flag.
+    """Token facade over the slot's shared cancellation flag.
 
     Duck-types :class:`~repro.engine.query.CancellationToken` for
     the poll path (``reason`` / ``cancelled`` / ``cancel``). A local
-    ``cancel`` (worker-side deadline expiry) also writes the flag so
-    sibling tasks of the same query stop early.
+    ``cancel`` (worker-side deadline expiry) also writes the flag; the
+    driver clears it once the task's reply is in.
     """
 
     __slots__ = ("_flag",)
@@ -113,14 +113,13 @@ class _AccumulatorProxy:
 class WorkerContext:
     """Process-local EngineContext stand-in for shipped RDD graphs."""
 
-    def __init__(self, worker_id: int, config, cancel_flag) -> None:
+    def __init__(self, worker_id: int, config) -> None:
         from repro.cluster.shm import WorkerShipCache
         from repro.cluster.walship import WorkerWalCache
         from repro.stats import PruningMetrics
 
         self.worker_id = worker_id
         self.config = config
-        self.cancel_flag = cancel_flag
         self.fault_injector = NULL_INJECTOR
         self.block_manager = BlockManager(config.cache_capacity_bytes)
         self.shuffle_manager = WorkerShuffleClient(config.rpc_max_retries)
@@ -191,7 +190,7 @@ def worker_main(
     generation: int = 0,
 ) -> None:
     """The worker loop (runs as the forked process's main)."""
-    ctx = WorkerContext(worker_id, config, cancel_flag)
+    ctx = WorkerContext(worker_id, config)
     # Every spill file this process writes carries its fencing identity.
     set_worker_identity(worker_id, generation)
     beat_pause = threading.Event()

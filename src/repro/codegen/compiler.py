@@ -669,7 +669,7 @@ def chunked(
 
     from repro.engine.query import check_cancelled
 
-    def run(rows: Iterator[tuple]) -> Iterator[tuple]:
+    def blocks(rows: Iterator[tuple]) -> Iterator[list[tuple]]:
         it = iter(rows)
         while True:
             # Cooperative cancellation poll once per chunk: a served
@@ -681,6 +681,8 @@ def chunked(
             block = list(islice(it, chunk_rows))
             if not block:
                 return
-            yield from kernel(block)
+            yield kernel(block)
 
-    return run
+    # A block's rows reach the consumer from C, not by resuming a
+    # generator frame once per row.
+    return lambda rows: itertools.chain.from_iterable(blocks(rows))

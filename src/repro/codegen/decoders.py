@@ -33,8 +33,8 @@ branches:
   unpack, matching :meth:`RowCodec.decode`'s fast path;
 * **checked** — per-field NULL tests, as the interpreted decoder does.
 
-The output is bit-for-bit the same as calling ``codec.decode`` (or
-``codec.decode_field`` per column) on each row — the differential
+The output is bit-for-bit the same as calling ``codec.decode`` on each
+row and picking the selected columns — the differential
 tests in ``tests/codegen`` enforce that.
 """
 

@@ -24,9 +24,8 @@ falls back to the interpreter on its own), so no knob rebuilds an older
 engine.
 
 Fault tolerance adds a second family of knobs, mirroring Spark's
-``spark.task.maxFailures`` / ``spark.speculation`` space: bounded task
-retries with exponential backoff, a per-stage deadline, speculative
-backups for tasks on suspect workers, at-least-once ingestion retries,
+``spark.task.maxFailures`` space: bounded task retries with exponential
+backoff, a per-stage deadline, at-least-once ingestion retries,
 graceful indexed-operator fallback, and an optional seeded
 :class:`~repro.faults.FaultProfile` that switches chaos injection on
 for the whole session.
@@ -157,10 +156,6 @@ class Config:
     #: between tasks (a running task is not interrupted); with the
     #: process backend it is checked every driver tick.
     stage_timeout_s: float | None = None
-    #: Process backend only: a task in flight on a worker slot the
-    #: heartbeat monitor marks SUSPECT gets a backup attempt on a healthy
-    #: slot; the first attempt to finish wins.
-    speculation: bool = False
     #: Retries allowed for a failed broker poll/commit in the
     #: ingestion loop before it gives up with RetryExhaustedError.
     ingest_max_retries: int = 5
@@ -254,8 +249,8 @@ class Config:
     #: dead and fenced: its generation is killed, its map outputs are
     #: rejected, and the slot respawns. Must exceed
     #: ``heartbeat_interval`` (several beats must fit in the window).
-    #: Halfway to the timeout the slot turns *suspect*, which feeds
-    #: speculative execution.
+    #: Halfway to the timeout the slot turns *suspect*: a task in flight
+    #: there gets a backup attempt on a healthy slot.
     heartbeat_timeout: float = 2.0
     #: Per-RPC deadline in seconds for a dispatched cluster task:
     #: a worker that neither replies nor dies within this window is

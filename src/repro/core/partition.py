@@ -152,8 +152,8 @@ class PartitionSnapshot:  # analysis: shipped
     ) -> Iterator[tuple]:
         """Bulk-decoded scan via the compiled per-schema decoder.
 
-        Row-for-row identical to :meth:`scan` (or to selective
-        ``decode_field`` extraction when ``columns`` is given), but a
+        Row-for-row identical to :meth:`scan` (projected to ``columns``
+        when given), but a
         region decoder walks each batch buffer in place — record
         headers included — instead of the per-record memoryview
         slicing plus per-field codec loop. ``predicate``, bound to the

@@ -20,6 +20,7 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import codegen
@@ -362,27 +363,21 @@ class _BitmapFetchRDD(RDD):
             return iter(())
         snapshot = self.snapshots[split]
         pointers = self.views[split].pointers
-        batches = snapshot.partition.batches
-        codec = snapshot.partition.codec
-        columns = self.columns
+        read = snapshot.partition.batches.read
+        decode = snapshot.partition.codec.batch_decoder(self.columns)
 
         def fetch() -> Iterator[tuple]:
-            n = 0
-            for position in iter_bits(bits):
+            positions = iter_bits(bits)
+            while True:
                 # A dense selection over a large partition walks millions
-                # of bits without touching a chunk boundary; poll every
-                # 1024 rows so a cancelled query stops fetching instead
-                # of materialising the rest of the selection.
-                if not (n & 1023):
-                    check_cancelled()
-                n += 1
-                _prev, payload = batches.read(pointers[position])
-                if columns is None:
-                    yield codec.decode(payload)
-                else:
-                    yield tuple(
-                        codec.decode_field(payload, 0, c) for c in columns
-                    )
+                # of bits; decoding 1024 rows at a time and polling per
+                # chunk lets a cancelled query stop fetching instead of
+                # materialising the rest of the selection.
+                check_cancelled()
+                chunk = [read(pointers[p])[1] for p in islice(positions, 1024)]
+                if not chunk:
+                    return
+                yield from decode(chunk)
 
         return fetch()
 

@@ -151,13 +151,6 @@ class BatchManager:
         start = offset + HEADER_SIZE
         return prev_pointer, memoryview(batch)[start : start + length]
 
-    def chain(self, head: int) -> Iterator[memoryview]:
-        """Walk a backward-pointer chain from ``head`` (newest first)."""
-        pointer = head
-        while pointer != NULL_POINTER:
-            pointer, payload = self.read(pointer)
-            yield payload
-
     # ------------------------------------------------------------------
     # Durability: checkpoint export / restore
     # ------------------------------------------------------------------

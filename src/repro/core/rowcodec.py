@@ -167,21 +167,6 @@ class RowCodec:
                 out[i] = unpacker.unpack_from(buffer, slot)[0]
         return tuple(out)
 
-    def decode_field(
-        self, buffer: bytes | bytearray | memoryview, base: int, index: int
-    ) -> Any:
-        """Decode a single field without materializing the whole row."""
-        if buffer[base + (index >> 3)] & (1 << (index & 7)):
-            return None
-        slot = base + self._slots[index]
-        if self._is_var[index]:
-            offset, length = _VAR_SLOT.unpack_from(buffer, slot)
-            raw = bytes(buffer[base + offset : base + offset + length])
-            return raw.decode("utf-8") if index in self._string_set else raw
-        unpacker = self._structs[index]
-        assert unpacker is not None
-        return unpacker.unpack_from(buffer, slot)[0]
-
     @property
     def _string_set(self) -> frozenset[int]:
         cached = getattr(self, "_string_set_cache", None)
@@ -211,7 +196,7 @@ class RowCodec:
 
         Decoders are generated once per (codec, column subset) and
         memoized on the codec; results are identical to calling
-        :meth:`decode` (or :meth:`decode_field` per column) row by row.
+        :meth:`decode` row by row (and picking ``columns`` from it).
         """
         from repro.codegen.decoders import build_batch_decoder
 

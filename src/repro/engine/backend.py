@@ -4,6 +4,9 @@ The DAG scheduler is backend-agnostic: task attempts go through
 :meth:`ExecutorBackend.run_task`. :class:`LocalBackend` calls the task
 closure on the scheduler's own thread, one split after another; it has
 no dispatch pool, since under the GIL threads would add only hand-offs.
+A backend keeps no per-job state: jobs run concurrently, each attempt
+carries its job's dispatch count as ``attempt``, and the active query
+(:func:`~repro.engine.query.current_query`) says whose task it is.
 
 Other backends are plug-ins the composition root injects. The session
 builds ``Config(executors=N)``'s process backend and its spill-file
@@ -14,8 +17,6 @@ never imports them.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable
-
-from repro.engine.query import QueryContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ThreadPoolExecutor
@@ -30,19 +31,19 @@ class ExecutorBackend:
     pool: "ThreadPoolExecutor | None" = None
 
     def run_task(
-        self, task: Callable[[int], Any], split: int, prefer_healthy: bool = False
+        self,
+        task: Callable[[int], Any],
+        split: int,
+        attempt: int = 0,
+        prefer_healthy: bool = False,
     ) -> Any:
+        """Run ``task(split)``; ``attempt`` counts the job's earlier
+        dispatches of ``split``."""
         raise NotImplementedError
 
     def suspect_slots(self) -> frozenset[int]:
         """Executor slots a liveness layer currently distrusts."""
         return frozenset()
-
-    def begin_job(self, query: QueryContext | None) -> None:
-        """Called under the scheduler's job lock before a job starts."""
-
-    def end_job(self, query: QueryContext | None) -> None:
-        """Called under the scheduler's job lock after a job finishes."""
 
     def stats(self) -> dict[str, int]:
         return {}
@@ -55,6 +56,10 @@ class LocalBackend(ExecutorBackend):
     """In-process execution on the calling thread."""
 
     def run_task(
-        self, task: Callable[[int], Any], split: int, prefer_healthy: bool = False
+        self,
+        task: Callable[[int], Any],
+        split: int,
+        attempt: int = 0,
+        prefer_healthy: bool = False,
     ) -> Any:
         return task(split)

@@ -74,11 +74,7 @@ class EngineContext:
             self.shuffle_manager = ShuffleManager(self.fault_injector)
         self.block_manager = BlockManager(self.config.cache_capacity_bytes)
         self.scheduler = DAGScheduler(
-            self.shuffle_manager,
-            self.backend.pool,
-            self.config,
-            self.fault_injector,
-            backend=self.backend,
+            self.shuffle_manager, self.config, self.fault_injector, self.backend
         )
         # Zone-map / partition-pruning counters, bumped by scan
         # operators at plan time (tests and EXPLAIN read them back).

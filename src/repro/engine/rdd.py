@@ -379,17 +379,19 @@ class RDD(ABC):
         return sum(self.context.run_job(self, _count))
 
     def take(self, n: int) -> list[Any]:
-        """Collect up to ``n`` elements, scanning partitions in order."""
-        if n <= 0:
-            return []
+        """Collect up to ``n`` elements, scanning partitions in order.
+
+        The partition count is read again at each step: another job's
+        shuffle may have coalesced this RDD meanwhile.
+        """
         out: list[Any] = []
-        for split in range(self.num_partitions):
+        split = 0
+        while len(out) < n and split < self.num_partitions:
             part = self.context.run_job(
                 self, lambda it: list(itertools.islice(it, n - len(out))), [split]
             )[0]
             out.extend(part)
-            if len(out) >= n:
-                break
+            split += 1
         return out[:n]
 
     def first(self) -> Any:

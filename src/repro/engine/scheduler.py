@@ -11,16 +11,23 @@ Given an action on a target RDD, the scheduler
 4. runs the *result stage* — a task per requested target partition that
    applies the action's function to the partition iterator.
 
-Stages run in sequence, exactly as in Spark. Where a stage's tasks run
-follows the backend. In-process (no dispatch pool) they run in split
-order on the calling thread: under the GIL a thread pool buys no
+Stages run in sequence, exactly as in Spark. Jobs run concurrently: each
+job's state — its lineage, the shuffles it registered, its dispatch
+count per split — lives on its :class:`JobMetrics`, owned by the thread
+that submitted it, so the scheduler holds no lock across a stage.
+
+Where a stage's tasks run follows the backend. In-process (no dispatch
+pool) they run in split order on the calling thread: under the GIL a thread pool buys no
 parallelism for Python tasks, only a hand-off per task. With the process
 backend they are dispatched concurrently through a pool of driver
 threads, one in-flight task per worker process.
 
 Shuffle lifetime follows Spark's ContextCleaner rule: a shuffle's map
 outputs live exactly as long as its :class:`ShuffleDependency` object.
-Once no RDD references the dependency, the next job releases them.
+Once no RDD references the dependency, the next job releases them. Two
+jobs may run one map stage at once: the shuffle manager keeps the first
+output per map index, and the commit that completes the shuffle fixes
+its coalescing plan before any reader can fetch.
 
 Fault tolerance (mirroring Spark's recovery model):
 
@@ -40,9 +47,9 @@ Fault tolerance (mirroring Spark's recovery model):
   is raised and no further task of the stage starts. In-process the
   deadline is checked before each task; a running task is never
   interrupted (a GIL-bound task cannot be);
-* **speculation** — with ``Config.speculation`` on, a task in flight on
-  a worker slot the heartbeat monitor marks SUSPECT gets a backup
-  attempt routed to a healthy slot; the first to finish wins;
+* **speculation** — a task in flight on a worker slot the heartbeat
+  monitor marks SUSPECT gets a backup attempt routed to a healthy slot;
+  the first to finish wins;
 * **failure cancellation** — once a stage is doomed, its remaining
   tasks never start.
 """
@@ -61,7 +68,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.config import Config
 from repro.engine.backend import ExecutorBackend, LocalBackend
-from repro.engine.query import QueryContext, activate, current_query, deactivate
+from repro.engine.query import activate, current_query, deactivate
 from repro.engine.rdd import RDD, ShuffleDependencyEdge
 from repro.engine.shuffle import ShuffleDependency, ShuffleManager
 from repro.errors import (
@@ -79,9 +86,6 @@ from repro.errors import (
 from repro.faults import NULL_INJECTOR, FaultInjector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.engine.context import EngineContext
     from repro.serving.runtime import ServingRuntime
 
 
@@ -91,8 +95,8 @@ def _keep(results: list[Any]) -> None:
 
 #: Upper bound on one retry backoff sleep.
 _MAX_BACKOFF_S = 1.0
-#: Driver poll tick while waiting on dispatched tasks or the job lock
-#: (also the resolution of pooled deadline checks and speculation).
+#: Driver poll tick while waiting on dispatched tasks (also the
+#: resolution of pooled deadline checks and speculation).
 _DRIVER_TICK_S = 0.02
 
 
@@ -218,12 +222,25 @@ class _TaskFailures:
 
 @dataclass
 class JobMetrics:
-    """Per-job counters surfaced by the benchmark harness."""
+    """One job's state: its counters, lineage and dispatches. Only the
+    thread running the job touches it, so it needs no lock."""
 
     job_id: int
     stages: int = 0
     tasks: int = 0
-    shuffle_records: int = 0
+    #: Every shuffle the job reaches, by id: a fetch failure recomputes
+    #: the lost map outputs from here.
+    lineage: dict[int, ShuffleDependency] = field(default_factory=dict)
+    #: Shuffles this job registered: the only ones its cancel drops.
+    registered: list[int] = field(default_factory=list)
+    #: Dispatches so far per split, across the job's stages.
+    dispatches: dict[int, int] = field(default_factory=dict)
+
+    def dispatch(self, split: int) -> int:
+        """Count one dispatch of ``split``; returns its attempt number."""
+        attempt = self.dispatches.get(split, 0)
+        self.dispatches[split] = attempt + 1
+        return attempt
 
 
 @dataclass
@@ -302,29 +319,22 @@ class DAGScheduler:
     def __init__(
         self,
         shuffle_manager: ShuffleManager,
-        pool: "ThreadPoolExecutor | None",
         config: Config | None = None,
         injector: FaultInjector | None = None,
         backend: ExecutorBackend | None = None,
     ):
         self._shuffles = shuffle_manager
-        # None: every stage runs on the calling thread (the in-process
-        # backend). A pool dispatches multi-split stages concurrently to
-        # a backend whose workers run in parallel.
-        self._pool = pool
         self._config = config or Config()
         self._injector = injector or NULL_INJECTOR
         self._backend = backend or LocalBackend()
-        # Serialize whole jobs: tasks within a stage are parallel, but two
-        # concurrent jobs sharing lineage would race on map-output state.
-        self._job_lock = threading.RLock()
-        # Lineage of the active job: shuffle_id → dependency, consulted
-        # when a fetch failure demands recomputation (one job at a time).
-        self._lineage: dict[int, ShuffleDependency] = {}  # guarded-by: _job_lock
+        # None: every stage runs on the calling thread (the in-process
+        # backend). A pool dispatches multi-split stages concurrently to
+        # a backend whose workers run in parallel.
+        self._pool = self._backend.pool
         # Ids of registered shuffles whose ShuffleDependency has been
         # garbage-collected. Filled by weakref finalizers, which may fire
         # inside any lock-holding block during a GC pass, so they only
-        # append (deque.append is atomic); run_job does the removal.
+        # append (deque.append is atomic); every job drains it.
         self._dead_shuffles: collections.deque[int] = collections.deque()
         self.metrics = SchedulerMetrics()
         # Set by the serving runtime when resource governance is on;
@@ -343,35 +353,8 @@ class DAGScheduler:
         per-partition results in partition order."""
         job = JobMetrics(job_id=next(DAGScheduler._job_ids))
         query = current_query()
-        # Polling acquire (deadline-aware for served queries), then a
-        # reentrant with-block so the lock discipline stays textual.
-        self._acquire_job_lock(query)
-        try:
-            with self._job_lock:
-                # The backend hooks run under the job lock: one job at a
-                # time, so the cluster backend's single shared cancel
-                # flag always belongs to *this* job's query.
-                self._backend.begin_job(query)
-                try:
-                    results = self._run_job_locked(rdd, func, partitions, job, query)
-                finally:
-                    self._backend.end_job(query)
-        finally:
-            self._job_lock.release()
-        self.metrics.record_job(job)
-        return results
-
-    def _run_job_locked(  # requires-lock: _job_lock
-        self,
-        rdd: RDD,
-        func: Callable[[Iterator[Any]], Any],
-        partitions: Sequence[int] | None,
-        job: JobMetrics,
-        query: QueryContext | None,
-    ) -> list[Any]:
         self._release_dead_shuffles()
-        missing, lineage, readers, index_sensitive = self._collect_shuffles(rdd)
-        self._lineage = lineage
+        missing, job.lineage, readers, index_sensitive = self._collect_shuffles(rdd)
         # Coalescing renumbers reduce partitions, so it is only
         # attempted when (a) the caller asked for *all* partitions
         # (explicit indices, e.g. take(), were chosen against the
@@ -382,62 +365,45 @@ class DAGScheduler:
             for dep in missing:
                 if query is not None:
                     query.check()
-                self._run_map_stage(dep, job)
-                if coalesce:
-                    # Map-output sizes are now recorded: shrink tiny
-                    # adjacent reduce buckets before anything reads
-                    # them (the next map stage or the result stage).
-                    for reader in readers.get(dep.shuffle_id, ()):
-                        self._maybe_coalesce(dep, reader)
+                self._run_map_stage(
+                    dep, job, readers=readers.get(dep.shuffle_id, ()) if coalesce else ()
+                )
             if partitions is None:
                 # Resolved only now: coalescing may have shrunk the
                 # target RDD's partition count.
                 partitions = range(rdd.num_partitions)
-            return self._run_result_stage(rdd, func, partitions, job)
+            results = self._run_result_stage(rdd, func, partitions, job)
         except QueryCancelledError:
             # A cancelled job must not leave half-written shuffle
-            # state behind: a later run would see the shuffle as
-            # registered-but-incomplete and fetch into lineage
-            # recomputation against stale partial outputs. Complete
+            # state behind. It drops the incomplete shuffles it
+            # registered; another job's stay with that job. Complete
             # shuffles are durable job results and stay reusable.
-            self._drop_incomplete_shuffles(lineage)
+            for shuffle_id in job.registered:
+                self._shuffles.remove_shuffle(shuffle_id, only_incomplete=True)
             raise
-        finally:
-            self._lineage = {}
+        self.metrics.record_job(job)
+        return results
 
-    def _acquire_job_lock(self, query: QueryContext | None) -> None:
-        """Take the whole-job lock; a served query polls its deadline /
-        cancellation token while queued behind other jobs instead of
-        blocking indefinitely."""
-        if query is None:
-            self._job_lock.acquire()
-            return
-        while not self._job_lock.acquire(timeout=_DRIVER_TICK_S):
-            query.check()
-
-    def _release_dead_shuffles(self) -> None:  # requires-lock: _job_lock
+    def _release_dead_shuffles(self) -> None:
         """Remove the map outputs of every shuffle whose dependency died
         since the last job: no RDD can read them any more. A cached or
         still-referenced RDD keeps its dependency, hence its shuffle."""
-        dead = self._dead_shuffles
-        # Bounded by the ids present now; a finalizer firing meanwhile
-        # leaves its id for the next job.
-        for _ in range(len(dead)):
-            self._shuffles.remove_shuffle(dead.popleft())
+        for shuffle_id in iter(self._pop_dead_shuffle, None):
+            self._shuffles.remove_shuffle(shuffle_id)
 
-    def _drop_incomplete_shuffles(  # requires-lock: _job_lock
-        self, lineage: dict[int, ShuffleDependency]
-    ) -> None:
-        for shuffle_id in lineage:
-            if not self._shuffles.is_complete(shuffle_id):
-                self._shuffles.remove_shuffle(shuffle_id)
+    def _pop_dead_shuffle(self) -> int | None:
+        """The next dead shuffle id, or None once a job drained them all."""
+        try:
+            return self._dead_shuffles.popleft()
+        except IndexError:
+            return None
 
-    def _maybe_coalesce(self, dep: ShuffleDependency, reader: "Any") -> None:
-        """Merge adjacent small reduce buckets of one completed shuffle."""
-        if not reader.allow_coalesce or reader._reduce_groups is not None:
-            return
-        sizes = self._shuffles.reduce_sizes(dep.shuffle_id)
-        if sizes is None or len(sizes) <= 1:
+    def _coalesce(self, readers: Sequence[Any], sizes: list[tuple[int, int]]) -> None:
+        """Merge adjacent small reduce buckets of a shuffle that has just
+        completed. The shuffle manager calls this under its lock, from
+        the commit that completes the shuffle, so every reader sees one
+        numbering."""
+        if len(sizes) <= 1:
             return
         target = self._config.target_reduce_bytes
         groups: list[list[int]] = []
@@ -453,9 +419,11 @@ class DAGScheduler:
             groups.append(current)
         if len(groups) >= len(sizes):
             return  # nothing to merge
-        reader.set_coalesce_groups(groups)
-        self.metrics.bump("coalesced_shuffles")
-        self.metrics.bump("coalesced_partitions", len(sizes) - len(groups))
+        for reader in readers:
+            if reader.allow_coalesce and reader._reduce_groups is None:
+                reader.set_coalesce_groups(groups)
+                self.metrics.bump("coalesced_shuffles")
+                self.metrics.bump("coalesced_partitions", len(sizes) - len(groups))
 
     # ------------------------------------------------------------------
 
@@ -516,10 +484,16 @@ class DAGScheduler:
         dep: ShuffleDependency,
         job: JobMetrics,
         map_indices: Sequence[int] | None = None,
+        readers: Sequence[RDD] = (),
     ) -> None:
+        """Run the map tasks of ``dep`` that ``map_indices`` names (by
+        default every absent one) and commit their outputs. If that
+        commit completes the shuffle, ``readers`` get its coalescing
+        plan."""
         parent: RDD = dep.rdd
         num_maps = parent.num_partitions
         if self._shuffles.register_shuffle(dep.shuffle_id, num_maps):
+            job.registered.append(dep.shuffle_id)
             finalizer = weakref.finalize(
                 dep, self._dead_shuffles.append, dep.shuffle_id
             )
@@ -556,7 +530,12 @@ class DAGScheduler:
         outputs = self._run_stage(
             map_task, indices, job, stage_id, self._shuffles.discard
         )
-        self._shuffles.commit_map_outputs(dep.shuffle_id, outputs)
+        self._shuffles.commit_map_outputs(
+            dep.shuffle_id,
+            outputs,
+            num_maps,
+            functools.partial(self._coalesce, readers) if readers else None,
+        )
 
     def _run_result_stage(
         self,
@@ -608,7 +587,11 @@ class DAGScheduler:
             # In-process: the splits run in order on this thread, each
             # attempt through the backend. A failure raises out of the
             # comprehension, so the remaining splits never start.
-            attempt = functools.partial(self._backend.run_task, task)
+            run_task = self._backend.run_task
+
+            def attempt(split: int) -> Any:
+                return run_task(task, split, job.dispatch(split))
+
             return [
                 self._run_task_inline(attempt, split, job, stage_id, clock)
                 for split in splits
@@ -664,24 +647,29 @@ class DAGScheduler:
         query = current_query()
         backend = self._backend
 
-        def attempt(split: int, delay: float, prefer_healthy: bool) -> Any:
+        def attempt(
+            split: int, number: int, delay: float, prefer_healthy: bool
+        ) -> Any:
             if delay:
                 time.sleep(delay)
             if abort.is_set():
                 raise _StageAborted()
             if query is None:
-                return backend.run_task(task, split, prefer_healthy)
+                return backend.run_task(task, split, number, prefer_healthy)
             token = activate(query)
             try:
                 query.check()
-                return backend.run_task(task, split, prefer_healthy)
+                return backend.run_task(task, split, number, prefer_healthy)
             finally:
                 deactivate(token)
 
         def submit(split: int, delay: float = 0.0, speculative: bool = False) -> None:
             # Speculative copies route around SUSPECT slots: a backup
-            # queued behind the very straggler it races is useless.
-            fut = self._pool.submit(attempt, split, delay, speculative)
+            # queued behind the very straggler it races is useless. The
+            # attempt number is drawn here, on the job's own thread.
+            fut = self._pool.submit(
+                attempt, split, job.dispatch(split), delay, speculative
+            )
             inflight[fut] = (split, speculative)
 
         def discard_unreturned(fut: Future) -> None:
@@ -723,10 +711,7 @@ class DAGScheduler:
                     self._note_retry_success(failures[split])
                     if speculative:
                         self.metrics.bump("speculative_wins")
-                if self._config.speculation:
-                    self._speculate_suspects(
-                        results, inflight, speculated, submit
-                    )
+                self._speculate_suspects(results, inflight, speculated, submit)
         except BaseException:
             # Doomed stage: stop burning the pool. Queued attempts are
             # cancelled outright; running ones see the abort flag on
@@ -862,7 +847,7 @@ class DAGScheduler:
     def _recover_lost_shuffle(self, fetch: FetchFailedError, job: JobMetrics) -> None:
         """Lineage recomputation: re-run exactly the missing map tasks
         of the shuffle a fetch failed against."""
-        dep = self._lineage.get(fetch.shuffle_id)
+        dep = job.lineage.get(fetch.shuffle_id)
         if dep is None:
             # Not in this job's lineage (shouldn't happen): the retry
             # will hit the same wall and exhaust honestly.

@@ -10,9 +10,14 @@ An output carries its ``map_index`` and per-bucket ``(rows,
 est_bytes)`` sizes and knows how to drop itself: a
 :class:`MemoryMapOutput` holds bucket lists and drops nothing, the
 process backend's ``MapStatus`` unlinks its spill file. Every output
-the registry does not keep — refused, lost, removed with its shuffle,
-or never committed because its stage failed — leaves through
-:meth:`ShuffleManager.discard`.
+the registry does not keep — refused, a duplicate of a map index
+already committed, lost, removed with its shuffle, or never committed
+because its stage failed — leaves through :meth:`ShuffleManager.discard`.
+
+Concurrent jobs may run the same map stage. The first output committed
+for a map index is the one kept, and the commit that first completes a
+shuffle runs its ``on_complete`` callback under the registry lock, so a
+coalescing plan is fixed before any fetch can see the shuffle complete.
 
 Fault model: a fetch that finds map outputs missing — whether lost to
 the seeded injector (which drops a victim output to simulate a died
@@ -80,6 +85,8 @@ class _ShuffleState:
 
     num_maps: int
     outputs: dict[int, Any] = field(default_factory=dict)
+    #: Whether the shuffle has been complete once (its plan is fixed).
+    completed: bool = False
 
     def complete(self) -> bool:
         return len(self.outputs) == self.num_maps
@@ -214,18 +221,35 @@ class ShuffleManager:
             query.governor.charge(query, sum(est for _rows, est in sizes))
         return MemoryMapOutput(map_index, buckets, sizes)
 
-    def commit_map_outputs(self, shuffle_id: int, outputs: list[Any]) -> None:
+    def commit_map_outputs(
+        self,
+        shuffle_id: int,
+        outputs: list[Any],
+        num_maps: int | None = None,
+        on_complete: Callable[[list[tuple[int, int]]], None] | None = None,
+    ) -> None:
         """Register a map stage's outputs; those the registry refuses
-        are dropped."""
+        and duplicates of a committed map index are dropped.
+
+        ``num_maps`` re-registers a shuffle that a cancelled job removed
+        while this stage ran. ``on_complete(reduce_sizes)`` runs under
+        the lock if this commit is the first to complete the shuffle.
+        """
         refused: list[Any] = []
         with self._lock:
             state = self._shuffles.get(shuffle_id)
+            if state is None and num_maps is not None:
+                state = self._shuffles[shuffle_id] = _ShuffleState(num_maps)
             if state is not None:
                 for output in outputs:
-                    if self._refuses(output):
+                    if self._refuses(output) or output.map_index in state.outputs:
                         refused.append(output)
                     else:
                         state.outputs[output.map_index] = output
+                if not state.completed and state.complete():
+                    state.completed = True
+                    if on_complete is not None:
+                        on_complete(self._reduce_sizes(state))
         if state is None:
             self.discard(outputs)
             raise EngineError(f"shuffle {shuffle_id} was never registered")
@@ -291,16 +315,13 @@ class ShuffleManager:
             state = self._shuffles.get(shuffle_id)
             if state is None or not state.complete():
                 return None
-            totals: list[tuple[int, int]] | None = None
-            for output in state.outputs.values():
-                if totals is None:
-                    totals = list(output.sizes)
-                else:
-                    totals = [
-                        (r + br, b + bb)
-                        for (r, b), (br, bb) in zip(totals, output.sizes)
-                    ]
-            return totals
+            return self._reduce_sizes(state)
+
+    @staticmethod
+    def _reduce_sizes(state: _ShuffleState) -> list[tuple[int, int]]:
+        """Per-reduce-bucket ``(rows, est_bytes)`` summed over the outputs."""
+        per_map = [output.sizes for output in state.outputs.values()]
+        return [tuple(map(sum, zip(*bucket))) for bucket in zip(*per_map)]
 
     def missing_map_indices(self, shuffle_id: int) -> list[int]:
         """Map indices whose output is absent (lineage-recompute set)."""
@@ -310,12 +331,15 @@ class ShuffleManager:
                 return []
             return [i for i in range(state.num_maps) if i not in state.outputs]
 
-    def remove_shuffle(self, shuffle_id: int) -> None:
-        """Drop all map outputs for a shuffle (GC after a job)."""
+    def remove_shuffle(self, shuffle_id: int, only_incomplete: bool = False) -> None:
+        """Drop all map outputs for a shuffle (GC after a job); with
+        ``only_incomplete``, only if it is incomplete (a cancelled job)."""
         with self._lock:
-            state = self._shuffles.pop(shuffle_id, None)
-        if state is not None:
-            self.discard(state.outputs.values())
+            state = self._shuffles.get(shuffle_id)
+            if state is None or (only_incomplete and state.complete()):
+                return
+            del self._shuffles[shuffle_id]
+        self.discard(state.outputs.values())
 
     def _invalidate(self, doomed: Callable[[Any], bool]) -> int:
         """Drop every committed output ``doomed`` selects — outputs lost

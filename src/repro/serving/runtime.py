@@ -152,6 +152,13 @@ class ServingRuntime:
             self.memory.register(query)
             with self._lock:
                 self._active[query.query_id] = query
+                others = len(self._active) > 1
+            if others:
+                # Another query is executing in this interpreter. Sleeping
+                # one timer tick hands it the GIL, so queries switch where
+                # one starts, not at the 5 ms interpreter tick that parks a
+                # short read mid-query and makes its latency jump in steps.
+                time.sleep(0)
             if self._injector.should_fire("serving.cancel"):
                 query.cancel("injected cancellation")
             token = activate(query)

@@ -14,6 +14,8 @@ the same pipeline.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import codegen
@@ -299,27 +301,6 @@ class DistinctExec(PhysicalPlan):
         )
 
 
-class _SortKey:
-    """Composite, direction-aware, null-aware sort key."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple):
-        self.values = values
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        return self.values < other.values
-
-    def __le__(self, other: "_SortKey") -> bool:
-        return self.values <= other.values
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortKey) and self.values == other.values
-
-    def __hash__(self) -> int:
-        return hash(self.values)
-
-
 def _bind_orders(
     orders: Sequence[SortOrder], input_attrs: Sequence[Attribute]
 ) -> list[SortOrder]:
@@ -329,14 +310,16 @@ def _bind_orders(
     ]
 
 
-def _sort_key_fn(orders: Sequence[SortOrder]) -> Callable[[tuple], _SortKey]:
+def _sort_key_fn(orders: Sequence[SortOrder]) -> Callable[[tuple], tuple]:
     """The composite sort key of bound ``orders``: ascending order of
-    the key is the requested row order, nulls placed as asked."""
+    the key is the requested row order, nulls placed as asked. A plain
+    tuple, so keys compare in C; a descending number is negated, and
+    only other descending values are wrapped in :class:`_Reversed`."""
     getters = [
         (codegen.value_fn(o.child), o.ascending, o.nulls_first) for o in orders
     ]
 
-    def key(row: tuple) -> _SortKey:
+    def key(row: tuple) -> tuple:
         parts = []
         for get, ascending, nulls_first in getters:
             value = get(row)
@@ -346,9 +329,9 @@ def _sort_key_fn(orders: Sequence[SortOrder]) -> Callable[[tuple], _SortKey]:
                 parts.append((rank, 0))
             else:
                 if not ascending:
-                    value = _Reversed(value)
+                    value = -value if type(value) in _NEGATABLE else _Reversed(value)
                 parts.append((1, value))
-        return _SortKey(tuple(parts))
+        return tuple(parts)
 
     return key
 
@@ -407,6 +390,10 @@ class TakeOrderedExec(PhysicalPlan):
 
     def describe(self) -> str:
         return f"TakeOrdered[n={self.n}]"
+
+
+#: Value types whose negation reverses their order.
+_NEGATABLE = (int, float, bool)
 
 
 class _Reversed:
@@ -659,6 +646,17 @@ class HashAggregateExec(PhysicalPlan):
             key_of = codegen.key_fn(self.grouping_bound)
         else:
             key_of = lambda row: ()  # noqa: E731 - global aggregate
+        if all(spec.fn_name == "count" and spec.value_expr is None for spec in specs):
+            # COUNT(*) only: count the keys in C, no per-row accumulator
+            # call. A key of one plain column is cut from the rows in C too.
+            width = len(specs)
+            keys = lambda rows: map(key_of, rows)  # noqa: E731
+            if [type(g) for g in self.grouping_bound] == [BoundReference]:
+                cut = operator.itemgetter(self.grouping_bound[0].ordinal)
+                keys = lambda rows: zip(map(cut, rows))  # noqa: E731
+            return lambda rows: (
+                (k, [n] * width) for k, n in Counter(keys(rows)).items()
+            )
         updaters = list(enumerate(spec.make_updater() for spec in specs))
 
         def partial(rows: Iterator[tuple]) -> Iterator[tuple[tuple, list]]:

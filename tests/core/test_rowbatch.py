@@ -74,14 +74,22 @@ class TestAppendRead:
         assert manager.allocated_bytes() == 1024
 
 
+def _walk(manager, head):
+    """Payloads of the backward chain from ``head``, newest first."""
+    payloads = []
+    while head != NULL_POINTER:
+        head, payload = manager.read(head)
+        payloads.append(bytes(payload))
+    return payloads
+
+
 class TestChain:
     def test_walk_newest_first(self):
         manager = make_manager()
         head = NULL_POINTER
         for i in range(5):
             head = manager.append(f"v{i}".encode(), prev_pointer=head)
-        chain = [bytes(p) for p in manager.chain(head)]
-        assert chain == [b"v4", b"v3", b"v2", b"v1", b"v0"]
+        assert _walk(manager, head) == [b"v4", b"v3", b"v2", b"v1", b"v0"]
 
     def test_chain_across_batches(self):
         manager = make_manager(batch_size=1024)
@@ -89,11 +97,11 @@ class TestChain:
         for i in range(50):
             head = manager.append(b"p" * 50, prev_pointer=head)
         assert manager.num_batches > 1
-        assert sum(1 for _ in manager.chain(head)) == 50
+        assert _walk(manager, head) == [b"p" * 50] * 50
 
     def test_null_chain_is_empty(self):
         manager = make_manager()
-        assert list(manager.chain(NULL_POINTER)) == []
+        assert _walk(manager, NULL_POINTER) == []
 
 
 class TestScanAndWatermark:

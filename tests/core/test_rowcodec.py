@@ -98,21 +98,6 @@ class TestRoundTrip:
         assert codec.decode(buf) == row
 
 
-class TestDecodeField:
-    def test_single_field_access(self):
-        codec = RowCodec(MIXED)
-        row = (7, "alice", 3.5, True, 42, b"z", 99)
-        encoded = codec.encode(row)
-        for i, expected in enumerate(row):
-            assert codec.decode_field(encoded, 0, i) == expected
-
-    def test_null_field(self):
-        codec = RowCodec(MIXED)
-        encoded = codec.encode((None, "x", None, None, None, None, None))
-        assert codec.decode_field(encoded, 0, 0) is None
-        assert codec.decode_field(encoded, 0, 1) == "x"
-
-
 class TestErrors:
     def test_arity_mismatch(self):
         codec = RowCodec(FIXED_ONLY)

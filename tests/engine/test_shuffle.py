@@ -175,6 +175,60 @@ class TestShuffleManager:
             (k, k) for k in range(3) if dep.partitioner.partition(k) == 0
         )
 
+    def test_duplicate_commit_keeps_the_first_output(self, manager):
+        dep = make_dep(1)
+        manager.register_shuffle(dep.shuffle_id, 1)
+        dropped: list = []
+        discard = manager.discard
+
+        def record(outputs):
+            outputs = list(outputs)
+            dropped.extend(outputs)
+            discard(outputs)
+
+        manager.discard = record
+        first = manager.map_writer(dep)(0, [(0, "first")])
+        second = manager.map_writer(dep)(0, [(0, "second")])
+        manager.commit_map_outputs(dep.shuffle_id, [first])
+        manager.commit_map_outputs(dep.shuffle_id, [second])
+        assert dropped == [second]
+        assert list(manager.fetch(dep.shuffle_id, 0)) == [(0, "first")]
+
+    def test_on_complete_runs_once_under_the_completing_commit(self, manager):
+        dep = make_dep(2)
+        manager.register_shuffle(dep.shuffle_id, 2)
+        calls: list = []
+
+        def on_complete(sizes):
+            calls.append((sizes, manager._lock.locked()))
+
+        writer = manager.map_writer(dep)
+        commit = manager.commit_map_outputs
+        commit(dep.shuffle_id, [writer(0, [(0, "a")])], on_complete=on_complete)
+        assert calls == []
+        commit(dep.shuffle_id, [writer(1, [(1, "b")])], on_complete=on_complete)
+        assert calls == [(manager.reduce_sizes(dep.shuffle_id), True)]
+        commit(dep.shuffle_id, [writer(1, [(1, "b")])], on_complete=on_complete)
+        assert len(calls) == 1
+
+    def test_commit_with_num_maps_re_registers(self, manager):
+        dep = make_dep(1)
+        output = manager.map_writer(dep)(0, [(0, "a")])
+        manager.commit_map_outputs(dep.shuffle_id, [output], num_maps=1)
+        assert manager.is_complete(dep.shuffle_id)
+
+    def test_remove_only_incomplete_keeps_a_complete_shuffle(self, manager):
+        done, partial = make_dep(1), make_dep(1)
+        manager.register_shuffle(done.shuffle_id, 1)
+        manager.register_shuffle(partial.shuffle_id, 2)
+        write(manager, done, 0, [(0, 0)])
+        write(manager, partial, 0, [(0, 0)])
+        manager.remove_shuffle(done.shuffle_id, only_incomplete=True)
+        manager.remove_shuffle(partial.shuffle_id, only_incomplete=True)
+        assert manager.is_complete(done.shuffle_id)
+        assert manager.missing_map_indices(partial.shuffle_id) == []
+        assert manager.stats()["shuffles"] == 1
+
 
 class TestSpillShuffleManager(TestShuffleManager):
     """Every registry case again, with spill files as the medium."""
@@ -191,6 +245,14 @@ class TestSpillShuffleManager(TestShuffleManager):
         assert len(os.listdir(manager.spill_root)) == 2
         manager.remove_shuffle(dep.shuffle_id)
         assert os.listdir(manager.spill_root) == []
+
+    def test_duplicate_commit_unlinks_its_file(self, manager):
+        dep = make_dep(1)
+        manager.register_shuffle(dep.shuffle_id, 1)
+        first = manager.map_writer(dep)(0, [(0, "first")])
+        second = manager.map_writer(dep)(0, [(0, "second")])
+        manager.commit_map_outputs(dep.shuffle_id, [first, second])
+        assert os.listdir(manager.spill_root) == [os.path.basename(first.path)]
 
     def test_fenced_generation_commit_is_rejected(self, manager):
         dep = make_dep(1)

@@ -66,6 +66,22 @@ class TestServePath:
         # Load drained: the same query now succeeds.
         assert session.serve("SELECT count(*) FROM t").rows == [(10,)]
 
+    def test_query_beside_another_hands_over_the_gil_once(
+        self, serving_session, monkeypatch
+    ):
+        sleeps: list[float] = []
+        monkeypatch.setattr("repro.serving.runtime.time.sleep", sleeps.append)
+        serving_session.serve("SELECT count(*) FROM rows")
+        assert sleeps == []  # a lone query never sleeps
+        runtime = serving_session.serving
+        other = QueryContext.create()
+        runtime._active[other.query_id] = other  # another query executing
+        try:
+            assert serving_session.serve("SELECT count(*) FROM rows").rows == [(400,)]
+        finally:
+            runtime._active.pop(other.query_id)
+        assert sleeps == [0]
+
     def test_concurrent_serves_all_complete(self, serving_session):
         results: list = []
         errors: list = []
