@@ -25,7 +25,6 @@ THRESHOLD = 1_000
 def setup():
     session = Session(
         Config(
-            executor_threads=2,
             shuffle_partitions=4,
             broadcast_threshold=THRESHOLD,
         )

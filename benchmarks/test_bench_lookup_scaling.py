@@ -21,7 +21,7 @@ SIZES = [1_000, 10_000, 100_000]
 
 def _session() -> Session:
     session = Session(
-        Config(executor_threads=2, shuffle_partitions=4, default_parallelism=4)
+        Config(shuffle_partitions=4, default_parallelism=4)
     )
     enable_indexing(session)
     return session

@@ -24,7 +24,7 @@ ROWS = 50_000
 
 @pytest.fixture(scope="module")
 def session():
-    s = Session(Config(executor_threads=2, shuffle_partitions=4))
+    s = Session(Config(shuffle_partitions=4))
     enable_indexing(s)
     yield s
     s.stop()

@@ -1,13 +1,14 @@
 """The process backend: task attempts in N forked worker processes.
 
 The DAG scheduler dispatches through :class:`ProcessBackend.run_task`
-the same way it calls the engine's in-process
-:class:`~repro.engine.backend.LocalBackend` (re-exported here). The
-closure is pickled by the task codec, heavy leaf data is shipped once
-through shared memory, and shuffle output is spilled to per-worker
-files. :func:`process_backend` builds the whole stack from a
-``Config``; the session injects it into its engine context, which
-imports nothing from this package.
+on the job's own thread: it encodes the task, enqueues it on a worker
+slot and gets back that slot's future, on which its stage loop waits
+(the engine's in-process :class:`~repro.engine.backend.LocalBackend`
+is re-exported here). The closure is pickled by the task codec, heavy
+leaf data is shipped once through shared memory, and shuffle output is
+spilled to per-worker files. :func:`process_backend` builds the whole
+stack from a ``Config``; the session injects it into its engine
+context, which imports nothing from this package.
 
 Topology: one pipe + one driver-side dispatcher thread per worker.
 A worker runs one task at a time (Spark's one-core executor), so the
@@ -42,8 +43,7 @@ import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
+from concurrent.futures import Future
 from queue import SimpleQueue
 from typing import Any, Callable
 
@@ -76,27 +76,8 @@ __all__ = ["ExecutorBackend", "LocalBackend", "ProcessBackend", "process_backend
 _STOP = object()
 #: Grace period for a worker to exit after MSG_STOP before SIGTERM.
 _JOIN_TIMEOUT_S = 2.0
-#: Cancellation-poll period while waiting on a dispatched task.
+#: Poll period of a reply wait bounded by the RPC deadline.
 _RESULT_TICK_S = 0.05
-
-
-def _await_result(box: Future, query: QueryContext | None) -> Any:
-    """Wait for a dispatched task's result, polling cancellation.
-
-    ``box.result()`` with no timeout would pin the calling thread until
-    the worker replies — a cancelled or deadline-expired query could
-    not unwind until its in-flight task finished. Waking every tick to
-    poll keeps the driver's cancellation latency bounded by
-    ``_RESULT_TICK_S`` regardless of task length; the task itself keeps
-    running worker-side until its own poll (the worker mirrors the
-    cancel flag), but the driver stops burning a slot on it.
-    """
-    while True:
-        try:
-            return box.result(timeout=_RESULT_TICK_S)
-        except FutureTimeout:
-            if query is not None:
-                query.check()
 
 
 class _WorkerSlot:
@@ -142,6 +123,8 @@ class _WorkerSlot:
 class ProcessBackend(ExecutorBackend):
     """N forked worker processes behind per-worker dispatch threads."""
 
+    concurrent = True
+
     def __init__(
         self,
         num_workers: int,
@@ -184,10 +167,6 @@ class ProcessBackend(ExecutorBackend):
         #: ClusterTimeoutError over WorkerLostError.
         self._fence_reasons: dict[tuple[int, int], str] = {}  # guarded-by: _lock
         self._owns_spill_root = owns_spill_root
-        self.pool = ThreadPoolExecutor(
-            max_workers=max(config.executor_threads, num_workers),
-            thread_name_prefix="repro-executor",
-        )
         self._stopped = False
         self._monitor: HeartbeatMonitor | None = None
         if config.heartbeat_interval > 0:
@@ -296,7 +275,7 @@ class ProcessBackend(ExecutorBackend):
     def _dispatch_loop(self, slot: _WorkerSlot) -> None:
         """Per-worker dispatcher: serialise envelopes down the pipe, one
         in flight at a time, respawning the worker on death."""
-        while True:  # lint: allow[CP001] -- slot pump outlives any one query; run_task's result wait polls
+        while True:  # lint: allow[CP001] -- slot pump outlives any one query; the scheduler's wait loop polls
             item = slot.queue.get()
             if item is _STOP:
                 try:
@@ -305,6 +284,10 @@ class ProcessBackend(ExecutorBackend):
                     pass
                 return
             payload, box, query = item
+            # A box its doomed stage cancelled while queued never reaches
+            # a worker; a stale-reply requeue below is already running.
+            if not (box.running() or box.set_running_or_notify_cancel()):
+                continue
             try:
                 raw = self._round_trip(slot, payload, query)
             except (EOFError, OSError, BrokenPipeError):
@@ -414,7 +397,7 @@ class ProcessBackend(ExecutorBackend):
         if deadline is None:
             return slot.conn.recv_bytes()
         start = time.monotonic()
-        while not slot.conn.poll(_RESULT_TICK_S):  # lint: allow[CP001] -- bounded by rpc_deadline; cancellation is polled by run_task's _await_result
+        while not slot.conn.poll(_RESULT_TICK_S):  # lint: allow[CP001] -- bounded by rpc_deadline; the scheduler's wait loop polls cancellation
             if time.monotonic() - start >= deadline:
                 self._bump("rpc_timeouts")
                 self._note_fence(slot.slot_id, slot.generation, "rpc-deadline")
@@ -450,8 +433,14 @@ class ProcessBackend(ExecutorBackend):
         split: int,
         attempt: int = 0,
         prefer_healthy: bool = False,
-    ) -> Any:
+    ) -> Future:
+        """Dispatch ``task(split)`` from the job's thread: draw its
+        faults, encode it, enqueue it on its slot, and return the slot's
+        future of the result. A cancelled query's task is never encoded."""
         query = current_query()
+        if query is not None:
+            query.check()
+        box: Future = Future()
         if self._injector.should_fire("cluster.worker_crash", split):
             # A crash directive instead of the task: the worker hard-
             # exits, the dispatcher raises WorkerLostError, and the
@@ -471,13 +460,21 @@ class ProcessBackend(ExecutorBackend):
             except FAIL_STOP:
                 raise
             except Exception:  # noqa: BLE001 - exotic closures degrade
+                # A closure the codec cannot pickle runs here, on the
+                # job's thread.
                 self._bump("codec_fallbacks")
-                return task(split)
-        slot = self._pick_slot(split, prefer_healthy)
-        box: Future = Future()
-        slot.queue.put((payload, box, query))
+                try:
+                    box.set_result(task(split))
+                except FAIL_STOP:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - the retry policy sorts it
+                    box.set_exception(exc)
+                return box
+        if self._stopped:
+            raise EngineError("executor backend stopped")
+        self._pick_slot(split, prefer_healthy).queue.put((payload, box, query))
         self._bump("tasks_dispatched")
-        return _await_result(box, query)
+        return box
 
     def _pick_slot(self, split: int, prefer_healthy: bool) -> _WorkerSlot:
         slot = self._slots[split % len(self._slots)]
@@ -554,7 +551,6 @@ class ProcessBackend(ExecutorBackend):
         if self._stopped:
             return
         self._stopped = True
-        self.pool.shutdown(wait=True)
         # Monitor first: a fence verdict mid-shutdown would race the
         # orderly MSG_STOP path below.
         if self._monitor is not None:
@@ -604,8 +600,8 @@ def process_backend(
 
     A spill root (``cluster_spill_dir``, else a temporary directory the
     backend removes when it stops), the spill-file shuffle manager over
-    it, the shared-memory ship store, and N worker processes fed by
-    ``max(executor_threads, N)`` dispatch threads.
+    it, the shared-memory ship store, and N worker processes, each fed
+    by its own dispatcher thread.
     """
     owns_spill_root = config.cluster_spill_dir is None
     spill_root = (

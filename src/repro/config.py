@@ -128,10 +128,7 @@ class Config:
     #: Default parallelism used when creating RDDs without an explicit
     #: partition count.
     default_parallelism: int = 4
-    #: Driver threads dispatching tasks to the process backend's workers
-    #: (the pool has ``max(executor_threads, executors)`` threads).
-    #: Unused in-process: there every task runs on the thread that
-    #: submitted its job, since under the GIL a pool adds only hand-offs.
+    #: No effect; removed when the benchmark matrix stops passing it.
     executor_threads: int = 4
     #: Probe relations at most this many rows are broadcast rather than
     #: shuffled in joins.

@@ -8,8 +8,9 @@ the paper builds on, and it imports nothing from the layers above it:
 * :class:`~repro.engine.scheduler.DAGScheduler` — splits the dependency
   graph into stages at shuffle boundaries and runs each stage's tasks
   through an executor backend: in split order on the calling thread
-  (:class:`~repro.engine.backend.LocalBackend`), or through a dispatch
-  pool to whatever backend the composition root injected;
+  (:class:`~repro.engine.backend.LocalBackend`), or dispatched all at
+  once from that thread to whatever concurrent backend the composition
+  root injected;
 * :class:`~repro.engine.shuffle.ShuffleManager` — the one map-output
   registry used by wide dependencies, over in-memory buckets or an
   injected medium such as the process backend's spill files;

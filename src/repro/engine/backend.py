@@ -2,10 +2,10 @@
 
 The DAG scheduler is backend-agnostic: task attempts go through
 :meth:`ExecutorBackend.run_task`. :class:`LocalBackend` calls the task
-closure on the scheduler's own thread, one split after another; it has
-no dispatch pool, since under the GIL threads would add only hand-offs.
-A backend keeps no per-job state: jobs run concurrently, each attempt
-carries its job's dispatch count as ``attempt``, and the active query
+closure on the scheduler's own thread, one split after another: under
+the GIL other threads would add only hand-offs. A backend keeps no
+per-job state: jobs run concurrently, each attempt carries its job's
+dispatch count as ``attempt``, and the active query
 (:func:`~repro.engine.query.current_query`) says whose task it is.
 
 Other backends are plug-ins the composition root injects. The session
@@ -16,19 +16,18 @@ never imports them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable
 
 
 class ExecutorBackend:
     """Where task attempts run; the scheduler calls only this surface."""
 
-    #: Driver threads that dispatch a multi-split stage's tasks
-    #: concurrently. ``None`` runs every stage in split order on the
-    #: calling thread.
-    pool: "ThreadPoolExecutor | None" = None
+    #: False: ``run_task`` runs the attempt and returns its result, and
+    #: the scheduler runs a stage in split order on the job's thread.
+    #: True: ``run_task`` only dispatches, on the job's thread, and
+    #: returns a :class:`~concurrent.futures.Future` of the result; the
+    #: scheduler dispatches a stage's splits at once and waits on them.
+    concurrent = False
 
     def run_task(
         self,

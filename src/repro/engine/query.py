@@ -11,14 +11,14 @@ argument — operators, shuffle fetch loops, and codegen batch loops call
 Cancellation is **cooperative**: :meth:`CancellationToken.cancel` only
 records a reason; the query dies at its next poll, raising
 :class:`~repro.errors.QueryCancelledError` from the polling frame so
-every layer unwinds and releases its pool slots. The first cancel wins —
-later cancels (deadline racing a memory kill) keep the original reason.
+every layer unwinds and releases its admission slot. The first cancel
+wins — later cancels (deadline racing a memory kill) keep the original
+reason.
 
-In-process, tasks run on the thread that submitted the job and see the
-context directly. The process backend's dispatch-pool threads do not
-inherit the driver's contextvars, so there the scheduler captures
-:func:`current_query` on the driver and re-activates it around each
-task attempt (see ``DAGScheduler``).
+Tasks see the context directly: in-process they run on the thread that
+submitted the job, and the process backend dispatches them from that
+same thread, shipping the query's identity and deadline to the worker
+in each task's envelope.
 """
 
 from __future__ import annotations

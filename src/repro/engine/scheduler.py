@@ -16,11 +16,13 @@ job's state — its lineage, the shuffles it registered, its dispatch
 count per split — lives on its :class:`JobMetrics`, owned by the thread
 that submitted it, so the scheduler holds no lock across a stage.
 
-Where a stage's tasks run follows the backend. In-process (no dispatch
-pool) they run in split order on the calling thread: under the GIL a thread pool buys no
-parallelism for Python tasks, only a hand-off per task. With the process
-backend they are dispatched concurrently through a pool of driver
-threads, one in-flight task per worker process.
+Where a stage's tasks run follows the backend. In-process they run in
+split order on the calling thread: under the GIL a thread pool buys no
+parallelism for Python tasks, only a hand-off per task. A concurrent
+backend (the process backend) takes all of a stage's tasks from the
+job's own thread, each ``run_task`` returning a future, and the stage
+loop waits on those futures, polling the stage deadline and the query
+every tick.
 
 Shuffle lifetime follows Spark's ContextCleaner rule: a shuffle's map
 outputs live exactly as long as its :class:`ShuffleDependency` object.
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import itertools
 import threading
 import time
@@ -68,7 +71,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.config import Config
 from repro.engine.backend import ExecutorBackend, LocalBackend
-from repro.engine.query import activate, current_query, deactivate
+from repro.engine.query import current_query
 from repro.engine.rdd import RDD, ShuffleDependencyEdge
 from repro.engine.shuffle import ShuffleDependency, ShuffleManager
 from repro.errors import (
@@ -96,12 +99,8 @@ def _keep(results: list[Any]) -> None:
 #: Upper bound on one retry backoff sleep.
 _MAX_BACKOFF_S = 1.0
 #: Driver poll tick while waiting on dispatched tasks (also the
-#: resolution of pooled deadline checks and speculation).
+#: resolution of concurrent-stage deadline checks and speculation).
 _DRIVER_TICK_S = 0.02
-
-
-class _StageAborted(Exception):
-    """Internal: raised by queued attempts once their stage is doomed."""
 
 
 def _find_transient(exc: BaseException | None) -> BaseException | None:
@@ -166,10 +165,10 @@ class _StageClock:
     """Per-stage deadline, and the **single** place ``stage_timeouts``
     is bumped.
 
-    The old code bumped the counter at both the inline and the pooled
-    check site, so one expiry observed on both paths (a pooled stage
-    unwinding through a nested inline recomputation) double-counted.
-    The once-flag makes the metric mean what it says: one expired stage,
+    The old code bumped the counter at both the inline and the
+    concurrent check site, so one expiry observed on both paths (a
+    concurrent stage unwinding through a nested inline recomputation)
+    double-counted. The once-flag makes the metric mean what it says: one expired stage,
     one count — however many frames re-observe the expiry.
     """
 
@@ -327,10 +326,6 @@ class DAGScheduler:
         self._config = config or Config()
         self._injector = injector or NULL_INJECTOR
         self._backend = backend or LocalBackend()
-        # None: every stage runs on the calling thread (the in-process
-        # backend). A pool dispatches multi-split stages concurrently to
-        # a backend whose workers run in parallel.
-        self._pool = self._backend.pool
         # Ids of registered shuffles whose ShuffleDependency has been
         # garbage-collected. Filled by weakref finalizers, which may fire
         # inside any lock-holding block during a GC pass, so they only
@@ -575,15 +570,16 @@ class DAGScheduler:
     ) -> list[Any]:
         """Run one task per split; returns their results in split order.
 
-        ``discard`` receives every successful result a pooled stage does
-        not return: a failed stage's, and losing duplicate attempts'. In
-        process the results are in-memory and need no release.
+        ``discard`` receives every successful result a concurrent stage
+        does not return: a failed stage's, and losing duplicate
+        attempts'. In process the results are in-memory and need no
+        release.
         """
         splits = list(splits)
         if not splits:
             return []
         clock = _StageClock(stage_id, self._config.stage_timeout_s, self.metrics)
-        if self._pool is None:
+        if not self._backend.concurrent:
             # In-process: the splits run in order on this thread, each
             # attempt through the backend. A failure raises out of the
             # comprehension, so the remaining splits never start.
@@ -597,11 +593,11 @@ class DAGScheduler:
                 for split in splits
             ]
         if len(splits) == 1:
-            # A single-split stage stays driver-side: no pool hand-off,
-            # and result closures that cannot cross a process boundary
+            # A single-split stage stays driver-side: no dispatch, and
+            # result closures that cannot cross a process boundary
             # (take()'s collectors, local-variable sinks) keep working.
             return [self._run_task_inline(task, splits[0], job, stage_id, clock)]
-        return self._run_stage_pooled(task, splits, job, stage_id, clock, discard)
+        return self._run_stage_concurrent(task, splits, job, stage_id, clock, discard)
 
     def _run_task_inline(
         self,
@@ -627,7 +623,7 @@ class DAGScheduler:
                 if delay:
                     time.sleep(delay)
 
-    def _run_stage_pooled(
+    def _run_stage_concurrent(
         self,
         task: Callable[[int], Any],
         splits: list[int],
@@ -636,56 +632,47 @@ class DAGScheduler:
         clock: _StageClock,
         discard: Callable[[list[Any]], None],
     ) -> list[Any]:
-        abort = threading.Event()
         results: dict[int, Any] = {}
         failures: dict[int, _TaskFailures] = {s: _TaskFailures() for s in splits}
         speculated: set[int] = set()
         inflight: dict[Future, tuple[int, bool]] = {}
-        # Pool threads do not inherit the driver's contextvars: capture
-        # the served query here and re-activate it around each attempt
-        # so in-task poll sites (shuffle drain, codegen chunks) see it.
+        # Retries waiting out their backoff: a heap of (due time, split).
+        pending: list[tuple[float, int]] = []
         query = current_query()
-        backend = self._backend
+        run_task = self._backend.run_task
 
-        def attempt(
-            split: int, number: int, delay: float, prefer_healthy: bool
-        ) -> Any:
-            if delay:
-                time.sleep(delay)
-            if abort.is_set():
-                raise _StageAborted()
-            if query is None:
-                return backend.run_task(task, split, number, prefer_healthy)
-            token = activate(query)
-            try:
+        def submit(split: int, speculative: bool = False) -> None:
+            # A dispatch draws faults and encodes the task on this
+            # thread, so it polls first. Speculative copies route around
+            # SUSPECT slots: a backup queued behind the very straggler it
+            # races is useless.
+            if query is not None:
                 query.check()
-                return backend.run_task(task, split, number, prefer_healthy)
-            finally:
-                deactivate(token)
-
-        def submit(split: int, delay: float = 0.0, speculative: bool = False) -> None:
-            # Speculative copies route around SUSPECT slots: a backup
-            # queued behind the very straggler it races is useless. The
-            # attempt number is drawn here, on the job's own thread.
-            fut = self._pool.submit(
-                attempt, split, job.dispatch(split), delay, speculative
-            )
+            fut = run_task(task, split, job.dispatch(split), speculative)
             inflight[fut] = (split, speculative)
 
         def discard_unreturned(fut: Future) -> None:
             if not fut.cancelled() and fut.exception() is None:
                 discard([fut.result()])
 
-        for s in splits:  # lint: allow[CP001] -- nonblocking enqueue; the wait loop below polls every tick
-            submit(s)
-
         try:
+            for split in splits:
+                submit(split)
             while len(results) < len(splits):
                 clock.check()
                 if query is not None:
                     query.check()
+                now = time.monotonic()
+                while pending and pending[0][0] <= now:
+                    submit(heapq.heappop(pending)[1])
+                timeout = _DRIVER_TICK_S
+                if pending:
+                    timeout = min(timeout, pending[0][0] - now)
+                if not inflight:
+                    time.sleep(timeout)  # only backoffs left to wait out
+                    continue
                 done, _ = wait(
-                    list(inflight), timeout=_DRIVER_TICK_S, return_when=FIRST_COMPLETED
+                    list(inflight), timeout=timeout, return_when=FIRST_COMPLETED
                 )
                 for fut in done:
                     split, speculative = inflight.pop(fut)
@@ -695,8 +682,6 @@ class DAGScheduler:
                         continue
                     try:
                         value = fut.result()
-                    except _StageAborted:
-                        continue
                     except BaseException as exc:  # lint: allow[ET002] -- routed to _on_task_failure, which re-raises non-transients
                         if speculative:
                             # The original attempt still owns the split;
@@ -705,7 +690,8 @@ class DAGScheduler:
                         self._on_task_failure(
                             exc, split, job, stage_id, failures[split]
                         )
-                        submit(split, delay=self._backoff(failures[split].attempts))
+                        delay = self._backoff(failures[split].attempts)
+                        heapq.heappush(pending, (time.monotonic() + delay, split))
                         continue
                     results[split] = value
                     self._note_retry_success(failures[split])
@@ -713,10 +699,8 @@ class DAGScheduler:
                         self.metrics.bump("speculative_wins")
                 self._speculate_suspects(results, inflight, speculated, submit)
         except BaseException:
-            # Doomed stage: stop burning the pool. Queued attempts are
-            # cancelled outright; running ones see the abort flag on
-            # their next (re)submission.
-            abort.set()
+            # Doomed stage: attempts still queued on a slot are cancelled
+            # and never run; retries waiting out a backoff never start.
             for fut in inflight:
                 fut.cancel()
             discard(list(results.values()))

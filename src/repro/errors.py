@@ -211,7 +211,7 @@ class QueryCancelledError(Exception):
     memory governor killed the largest query on budget breach —
     retryable once load drains), ``"user"``/``"shutdown"``, or an
     injected-chaos reason. **Fail-stop for this attempt**: the query
-    released its pool slots and produced no result.
+    released its admission slot and produced no result.
 
     Deliberately **not** a :class:`ReproError` (the
     :class:`SanitizerError` reasoning): task retry, index fallback, and

@@ -138,7 +138,6 @@ class TestSessionIntegration:
             Config(
                 shuffle_partitions=2,
                 default_parallelism=2,
-                executor_threads=2,
                 batch_size_bytes=2048,
                 max_row_bytes=256,
                 sanitizers_enabled=True,

@@ -1,55 +1,147 @@
-"""The driver-side task wait polls cancellation (CP002 regression).
+"""How the driver awaits a dispatched task's result, at stage level.
 
-``run_task`` used to end in a bare ``box.result()`` — a cancelled or
-deadline-expired query could not unwind until its in-flight worker
-task replied. ``_await_result`` waits in ticks and polls the query
-between them, bounding cancellation latency at the driver.
+On ``executors=2`` the job's own thread dispatches a stage's tasks and
+waits on the slots' futures, polling the stage clock and the query every
+tick. A cancelled or deadline-expired query must unwind even while its
+worker task never replies, a live query must still receive a late reply,
+and a doomed stage's attempts still queued on a slot must never reach a
+worker.
+
+The tasks are module-level functions, pickled by reference, so the
+worker runs this module's copy of them. The events and the run counter
+they touch are created at import, before any test forks its workers,
+which inherit them; the tests meet the workers on those, never on
+sleeps.
 """
 
+from __future__ import annotations
+
+import multiprocessing
 import threading
-from concurrent.futures import Future
+import time
 
 import pytest
 
-from repro.cluster.backend import _await_result
-from repro.errors import QueryCancelledError
-from repro.engine.query import QueryContext
+from repro.cluster import process_backend
+from repro.engine.context import EngineContext
+from repro.engine.query import QueryContext, active
+from repro.errors import QueryCancelledError, TaskError
+from tests.conftest import small_config
+
+#: Bound on every wait, so a regression fails instead of hanging.
+WAIT_S = 30.0
+#: Bound on the driver's unwinding once its query is cancelled: many of
+#: the stage loop's ticks, far below a task that never replies.
+UNWIND_S = 2.0
+
+_FORK = multiprocessing.get_context("fork")
+_STARTED = _FORK.Event()
+_GATE = _FORK.Event()
+#: Worker-side executions per split.
+_RUNS = _FORK.Array("i", 8)
 
 
-def test_resolved_future_returns_immediately():
-    box = Future()
-    box.set_result(41)
-    assert _await_result(box, None) == 41
+def _stall_split0(x: int) -> int:
+    """Split 0 waits for the gate, never polling cancellation."""
+    _RUNS[x] += 1
+    if x == 0:
+        _STARTED.set()
+        _GATE.wait(WAIT_S)
+    return x
 
 
-def test_task_exception_is_reraised():
-    box = Future()
-    box.set_exception(ValueError("task blew up"))
-    with pytest.raises(ValueError):
-        _await_result(box, None)
+def _fail_split1(x: int) -> int:
+    """Split 1 fails at once, which dooms the stage; split 0 stalls."""
+    if x == 1:
+        raise ValueError("split 1 fails")
+    return _stall_split0(x)
 
 
-def test_cancelled_query_unblocks_the_wait():
-    box = Future()  # never resolves: the worker never replies
+@pytest.fixture()
+def ctx():
+    _STARTED.clear()
+    _GATE.clear()
+    _RUNS[:] = [0] * len(_RUNS)
+    context = EngineContext(small_config(executors=2), process_backend)
+    try:
+        yield context
+    finally:
+        _GATE.set()
+        context.stop()
+
+
+def _stalled_job(ctx: EngineContext) -> list[int]:
+    return ctx.parallelize(range(2), 2).map(_stall_split0).collect()
+
+
+def test_resolved_future_returns_immediately(ctx):
+    _GATE.set()
+    before = ctx.backend.stats()["tasks_dispatched"]
+    assert _stalled_job(ctx) == [0, 1]
+    stats = ctx.backend.stats()
+    assert stats["tasks_dispatched"] - before == 2
+    assert stats["codec_fallbacks"] == 0
+
+
+def test_task_exception_is_reraised(ctx):
+    _GATE.set()
+    with pytest.raises(TaskError) as info:
+        ctx.parallelize(range(2), 2).map(_fail_split1).collect()
+    assert isinstance(info.value.cause, ValueError)
+    assert ctx.scheduler.metrics.task_retries == 0
+
+
+def test_cancelled_query_unblocks_the_wait(ctx):
     query = QueryContext.create()
-    query.cancel("user abort")
-    with pytest.raises(QueryCancelledError):
-        _await_result(box, query)
+    out: list = []
+
+    def run() -> None:
+        with active(query):
+            try:
+                out.append(_stalled_job(ctx))
+            except QueryCancelledError as exc:
+                out.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    assert _STARTED.wait(WAIT_S)
+    start = time.monotonic()
+    query.cancel("user")
+    thread.join(WAIT_S)
+    assert time.monotonic() - start < UNWIND_S
+    assert len(out) == 1 and isinstance(out[0], QueryCancelledError)
+    # The worker task never replied: only the driver's poll unwound.
+    assert not _GATE.is_set()
 
 
-def test_expired_deadline_unblocks_the_wait():
-    box = Future()
-    query = QueryContext.create(deadline_s=0.0)
-    with pytest.raises(QueryCancelledError):
-        _await_result(box, query)
+def test_expired_deadline_unblocks_the_wait(ctx):
+    query = QueryContext.create(deadline_s=0.3)
+    with active(query), pytest.raises(QueryCancelledError):
+        _stalled_job(ctx)
+    assert time.monotonic() - query.deadline < UNWIND_S
+    assert _STARTED.is_set() and not _GATE.is_set()
 
 
-def test_live_query_still_receives_a_late_result():
-    box = Future()
+def test_live_query_still_receives_a_late_result(ctx):
     query = QueryContext.create()  # unbounded, never cancelled
-    timer = threading.Timer(0.12, box.set_result, args=("late",))
+    timer = threading.Timer(0.12, _GATE.set)
     timer.start()
     try:
-        assert _await_result(box, query) == "late"
+        with active(query):
+            assert _stalled_job(ctx) == [0, 1]
     finally:
         timer.cancel()
+    assert _STARTED.is_set()
+
+
+def test_doomed_stage_never_runs_its_queued_attempts(ctx):
+    # Slot 0 runs split 0, stalled, with splits 2, 4 and 6 queued behind
+    # it; split 1 fails on slot 1 and dooms the stage.
+    with pytest.raises(TaskError):
+        ctx.parallelize(range(8), 8).map(_fail_split1).collect()
+    _GATE.set()
+    # A later job's slot-0 task queues behind the cancelled attempts, so
+    # once it returns the slot has passed over them.
+    assert ctx.parallelize(range(2), 2).collect() == [0, 1]
+    assert [_RUNS[split] for split in (0, 2, 4, 6)] == [1, 0, 0, 0]
+    assert ctx.backend.stats()["codec_fallbacks"] == 0

@@ -23,7 +23,6 @@ def _session(executors: int) -> Session:
     session = Session(
         Config(
             executors=executors,
-            executor_threads=2,
             shuffle_partitions=4,
             default_parallelism=2,
             batch_size_bytes=256 * 1024,

@@ -275,7 +275,6 @@ def test_steady_state_short_reads_compile_nothing():
     dataset = generate(scale_factor=0.15, seed=11)
     session = Session(
         Config(
-            executor_threads=2,
             shuffle_partitions=4,
             default_parallelism=4,
             serving_enabled=True,

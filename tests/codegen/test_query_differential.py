@@ -41,7 +41,6 @@ ORDERS_SCHEMA = [("oid", "long"), ("pid", "long"), ("amount", "double")]
 def make_session() -> Session:
     session = Session(
         Config(
-            executor_threads=2,
             shuffle_partitions=3,
             default_parallelism=2,
             batch_size_bytes=64 * 1024,

@@ -13,7 +13,6 @@ from repro.sql.session import Session
 def small_config(**overrides) -> Config:
     """A deterministic, small configuration for tests."""
     base = dict(
-        executor_threads=2,
         shuffle_partitions=4,
         default_parallelism=2,
         batch_size_bytes=64 * 1024,

@@ -16,7 +16,6 @@ PROBE_SCHEMA = [("pid", "long"), ("w", "long")]
 def build_world(broadcast_threshold: int):
     session = Session(
         Config(
-            executor_threads=2,
             shuffle_partitions=4,
             broadcast_threshold=broadcast_threshold,
             batch_size_bytes=64 * 1024,

@@ -27,7 +27,6 @@ rows_strategy = st.lists(
 def shared_session():
     s = Session(
         Config(
-            executor_threads=2,
             shuffle_partitions=3,
             default_parallelism=2,
             batch_size_bytes=16 * 1024,

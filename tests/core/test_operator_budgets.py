@@ -38,7 +38,6 @@ BUDGETS = {
 def world():
     session = Session(
         Config(
-            executor_threads=2,
             shuffle_partitions=4,
             default_parallelism=4,
             broadcast_threshold=200,

@@ -13,7 +13,6 @@ def durable_config(state_dir, **overrides) -> Config:
     ``state_dir``. Checkpoint thresholds default high enough that only
     explicit ``checkpoint()`` calls cut one."""
     base = dict(
-        executor_threads=2,
         shuffle_partitions=4,
         default_parallelism=2,
         batch_size_bytes=64 * 1024,

@@ -63,7 +63,6 @@ def reference_rows(num_batches: int) -> set[tuple]:
 def durable_session(state_dir, profile: FaultProfile | None = None) -> Session:
     return Session(
         Config(
-            executor_threads=1,
             shuffle_partitions=4,
             default_parallelism=1,
             batch_size_bytes=64 * 1024,

@@ -44,7 +44,7 @@ class TestLifecycle:
         ctx.stop()
 
     def test_repr(self):
-        ctx = EngineContext(Config(executor_threads=3))
+        ctx = EngineContext(Config())
         assert "in-process" in repr(ctx)
         assert "running" in repr(ctx)
         ctx.stop()

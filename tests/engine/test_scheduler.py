@@ -83,11 +83,11 @@ class TestFailures:
 
 class TestParallelism:
     def test_single_thread_config_works(self):
-        with EngineContext(Config(executor_threads=1, default_parallelism=2)) as ctx:
+        with EngineContext(Config(default_parallelism=2)) as ctx:
             assert ctx.parallelize(range(100), 8).sum() == 4950
 
     def test_many_threads_correct(self):
-        with EngineContext(Config(executor_threads=8, default_parallelism=8)) as ctx:
+        with EngineContext(Config(default_parallelism=8)) as ctx:
             pairs = ctx.parallelize([(i % 17, 1) for i in range(1000)], 16)
             counts = dict(pairs.reduce_by_key(lambda a, b: a + b).collect())
             assert sum(counts.values()) == 1000
@@ -100,14 +100,11 @@ class TestParallelism:
             rdd.collect()
 
     def test_in_process_tasks_run_on_the_calling_thread(self):
-        def executor_threads() -> list[str]:
-            return [
-                t.name
-                for t in threading.enumerate()
-                if t.name.startswith("repro-executor")
-            ]
+        threads_before = set(threading.enumerate())
 
-        assert executor_threads() == []
+        def started_threads() -> set[threading.Thread]:
+            return set(threading.enumerate()) - threads_before
+
         caller = threading.get_ident()
         ran_on: list[tuple[str, int]] = []
 
@@ -118,7 +115,7 @@ class TestParallelism:
 
             return record
 
-        config = Config(executors=0, executor_threads=4)
+        config = Config(executors=0)
         with EngineContext(config) as ctx:
             before = ctx.scheduler.metrics.snapshot()
             pairs = ctx.parallelize([(i % 4, 1) for i in range(40)], 4)
@@ -131,14 +128,14 @@ class TestParallelism:
             # scheduler never coalesces a job that names its partitions.
             parts = ctx.run_job(counted, list, partitions=range(4))
             after = ctx.scheduler.metrics.snapshot()
-            assert executor_threads() == []
+            assert started_threads() == set()
         assert sorted(kv for part in parts for kv in part) == [(k, 10) for k in range(4)]
         # One 4-task map stage, one 4-task result stage.
         assert after["stages"] - before["stages"] == 2
         assert after["tasks"] - before["tasks"] == 8
         assert {side for side, _ in ran_on} == {"map", "result"}
         assert {ident for _, ident in ran_on} == {caller}
-        assert executor_threads() == []
+        assert started_threads() == set()
 
 
 class TestMetricsSnapshot:
@@ -172,7 +169,7 @@ class TestMetricsSnapshot:
         from repro.errors import StageTimeoutError
 
         context = EngineContext(
-            Config(executor_threads=2, stage_timeout_s=0.05, task_max_retries=3)
+            Config(stage_timeout_s=0.05, task_max_retries=3)
         )
         try:
             with pytest.raises(StageTimeoutError):

@@ -13,7 +13,6 @@ from repro.sql.session import Session
 def fault_config(**overrides) -> Config:
     """Small deterministic config with fast retry backoffs."""
     base = dict(
-        executor_threads=2,
         shuffle_partitions=4,
         default_parallelism=2,
         broadcast_threshold=50,

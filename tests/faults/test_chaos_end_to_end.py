@@ -22,7 +22,6 @@ def run_pipeline(faults=None, task_max_retries=8, ingest_max_retries=8):
     sharing the session's fault injector, then query it every way the
     demo does. Returns (results, injector fire stats)."""
     config = Config(
-        executor_threads=1,  # deterministic task interleaving
         shuffle_partitions=4,
         default_parallelism=2,
         broadcast_threshold=50,

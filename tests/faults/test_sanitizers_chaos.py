@@ -23,7 +23,6 @@ SCHEMA = [("id", "long"), ("name", "string"), ("age", "long")]
 
 def run_sanitized_pipeline(faults):
     config = Config(
-        executor_threads=1,
         shuffle_partitions=4,
         default_parallelism=2,
         broadcast_threshold=50,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 
 import pytest
 
@@ -159,15 +159,16 @@ class TestStageDeadline:
 
 
 class _SuspectSlotBackend(ExecutorBackend):
-    """A parallel backend stub: attempts run on the dispatch thread, and
-    the slot owning split 0 is SUSPECT. The first attempt at split 0
-    stalls there until the test releases it."""
+    """A concurrent backend stub: ``run_task`` returns a future, and the
+    slot owning split 0 is SUSPECT. The first attempt at split 0 stays
+    in flight there until the test releases it; every other attempt
+    runs at once on the job's thread."""
+
+    concurrent = True
 
     def __init__(self) -> None:
-        self.pool = ThreadPoolExecutor(max_workers=4)
-        self.release = threading.Event()
+        self.stalled: list[tuple[Future, object]] = []
         self.dispatched: list[tuple[int, bool]] = []
-        self._lock = threading.Lock()
 
     def suspect_slots(self) -> frozenset[int]:
         return frozenset({0})
@@ -176,11 +177,17 @@ class _SuspectSlotBackend(ExecutorBackend):
         return 0 if split == 0 else 1
 
     def run_task(self, task, split, attempt=0, prefer_healthy=False):
-        with self._lock:
-            self.dispatched.append((split, prefer_healthy))
+        self.dispatched.append((split, prefer_healthy))
+        box = Future()
         if split == 0 and not prefer_healthy:
-            self.release.wait(timeout=10)
-        return task(split)
+            self.stalled.append((box, task))
+        else:
+            box.set_result(task(split))
+        return box
+
+    def release(self) -> None:
+        for box, task in self.stalled:
+            box.set_result(task(0))
 
 
 class TestSpeculation:
@@ -192,8 +199,7 @@ class TestSpeculation:
         try:
             parts = scheduler.run_job(rdd, list)
         finally:
-            backend.release.set()
-            backend.pool.shutdown(wait=True)
+            backend.release()
         assert parts == [[0], [2], [4], [6]]
         # The backup went around the suspect slot and finished while
         # the original attempt was still stalled on it.
@@ -206,7 +212,7 @@ class TestSpeculation:
 
 class TestCancelOnFailure:
     def test_doomed_stage_cancels_queued_tasks(self, make_ctx):
-        ctx = make_ctx(executor_threads=2)
+        ctx = make_ctx()
         started: set[int] = set()
         lock = threading.Lock()
 
@@ -220,12 +226,12 @@ class TestCancelOnFailure:
 
         with pytest.raises(TaskError):
             ctx.parallelize(range(12), 12).map(task).collect()
-        # With 2 executor threads and an immediate failure, most of the
-        # 12 queued tasks must have been cancelled, not drained.
+        # The failure at split 0 dooms the stage: most of the 12 tasks
+        # must never have started.
         assert len(started) < 12
 
     def test_engine_usable_after_cancellation(self, make_ctx):
-        ctx = make_ctx(executor_threads=2)
+        ctx = make_ctx()
 
         def task(x):
             if x == 0:

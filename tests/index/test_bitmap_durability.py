@@ -23,7 +23,6 @@ def make_rows(start: int, n: int) -> list[tuple]:
 def durable_session(state_dir) -> Session:
     session = Session(
         Config(
-            executor_threads=1,
             shuffle_partitions=4,
             default_parallelism=1,
             batch_size_bytes=64 * 1024,

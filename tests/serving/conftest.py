@@ -12,7 +12,6 @@ from repro.sql.session import Session
 def serving_config(**overrides) -> Config:
     """Small deterministic config with the serving layer enabled."""
     base = dict(
-        executor_threads=2,
         shuffle_partitions=4,
         default_parallelism=2,
         broadcast_threshold=50,

@@ -141,7 +141,6 @@ class TestCrashDuringServedLoad:
         shedding a query; the next incarnation replays the WAL cleanly
         and serves correct results."""
         config = serving_config(
-            executor_threads=1,
             default_parallelism=1,
             durability_enabled=True,
             durability_dir=str(tmp_path / "state"),
@@ -178,7 +177,6 @@ class TestCrashDuringServedLoad:
 
         survivor = Session(
             serving_config(
-                executor_threads=1,
                 default_parallelism=1,
                 durability_enabled=True,
                 durability_dir=str(tmp_path / "state"),

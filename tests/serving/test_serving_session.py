@@ -111,7 +111,7 @@ class TestServePath:
 
 class TestDisabledIsInert:
     def test_serve_raises_when_disabled(self):
-        session = Session(Config(executor_threads=2))
+        session = Session(Config())
         try:
             assert session.serving is None
             assert session.ctx.serving is None

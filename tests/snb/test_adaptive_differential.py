@@ -23,7 +23,6 @@ from repro.sql.session import Session
 def worlds():
     session = Session(
         Config(
-            executor_threads=2,
             shuffle_partitions=4,
             default_parallelism=2,
             batch_size_bytes=8 * 1024,  # several batches per partition

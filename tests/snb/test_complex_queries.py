@@ -20,7 +20,6 @@ from repro.sql.session import Session
 def world():
     session = Session(
         Config(
-            executor_threads=2,
             shuffle_partitions=4,
             batch_size_bytes=256 * 1024,
             broadcast_threshold=10_000,

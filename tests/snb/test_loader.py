@@ -14,7 +14,6 @@ from repro.sql.session import Session
 def world():
     session = Session(
         Config(
-            executor_threads=2,
             shuffle_partitions=4,
             default_parallelism=2,
             batch_size_bytes=256 * 1024,

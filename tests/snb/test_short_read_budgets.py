@@ -38,7 +38,7 @@ BUDGETS = {
 @pytest.fixture(scope="module")
 def world():
     session = Session(
-        Config(executor_threads=2, shuffle_partitions=4, default_parallelism=4)
+        Config(shuffle_partitions=4, default_parallelism=4)
     )
     enable_indexing(session)
     dataset = generate(scale_factor=0.1, seed=7)

@@ -23,7 +23,6 @@ from repro.sql.session import Session
 def session():
     s = Session(
         Config(
-            executor_threads=2,
             shuffle_partitions=3,
             default_parallelism=2,
             broadcast_threshold=20,

@@ -28,7 +28,7 @@ rows_strategy = st.lists(
 
 @pytest.fixture(scope="module")
 def shared_session():
-    s = Session(Config(executor_threads=2, shuffle_partitions=3, default_parallelism=2))
+    s = Session(Config(shuffle_partitions=3, default_parallelism=2))
     yield s
     s.stop()
 

@@ -108,5 +108,5 @@ class TestExtensions:
         from repro.config import Config
         from repro.sql.session import Session
 
-        with Session(Config(executor_threads=1)) as s:
+        with Session(Config()) as s:
             assert s.create_dataframe([(1,)], [("x", "long")]).count() == 1
