@@ -43,7 +43,7 @@ import shutil
 import tempfile
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from queue import SimpleQueue
 from typing import Any, Callable
 
@@ -470,10 +470,14 @@ class ProcessBackend(ExecutorBackend):
                 except Exception as exc:  # noqa: BLE001 - the retry policy sorts it
                     box.set_exception(exc)
                 return box
-        if self._stopped:
-            raise EngineError("executor backend stopped")
-        self._pick_slot(split, prefer_healthy).queue.put((payload, box, query))
-        self._bump("tasks_dispatched")
+        slot = self._pick_slot(split, prefer_healthy)
+        # Atomic with stop()'s flag: a box enqueued here lands before
+        # the slot's _STOP, or is refused.
+        with self._lock:
+            if self._stopped:
+                raise EngineError("executor backend stopped")
+            slot.queue.put((payload, box, query))
+            self._counters["tasks_dispatched"] += 1
         return box
 
     def _pick_slot(self, split: int, prefer_healthy: bool) -> _WorkerSlot:
@@ -548,9 +552,10 @@ class ProcessBackend(ExecutorBackend):
         return counters
 
     def stop(self) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
+        with self._lock:
+            if self._stopped:
+                return
+            self._stopped = True
         # Monitor first: a fence verdict mid-shutdown would race the
         # orderly MSG_STOP path below.
         if self._monitor is not None:
@@ -584,9 +589,28 @@ class ProcessBackend(ExecutorBackend):
                     pass
             if slot.pid is not None:
                 self._reap_spill_files(slot.pid)
+        for slot in self._slots:
+            self._fail_queued(slot)
         self._ship.close()
         if self._owns_spill_root:
             shutil.rmtree(self._shuffles.spill_root, ignore_errors=True)
+
+    @staticmethod
+    def _fail_queued(slot: _WorkerSlot) -> None:
+        """Fail every box left on a stopped slot's queue: those behind
+        its ``_STOP``, a stale-reply requeue, and those a dispatcher
+        that died with its worker never took."""
+        if slot.thread is not None:
+            # Its worker is gone: a live dispatcher ends at its next item.
+            slot.thread.join(timeout=_JOIN_TIMEOUT_S)
+        for _ in range(slot.queue.qsize()):
+            item = slot.queue.get_nowait()
+            if item is _STOP:
+                continue
+            try:
+                item[1].set_exception(EngineError("executor backend stopped"))
+            except InvalidStateError:
+                pass  # its doomed stage cancelled it while queued
 
     def _bump(self, counter: str) -> None:
         with self._lock:

@@ -25,10 +25,9 @@ engine.
 
 Fault tolerance adds a second family of knobs, mirroring Spark's
 ``spark.task.maxFailures`` space: bounded task retries with exponential
-backoff, a per-stage deadline, at-least-once ingestion retries,
-graceful indexed-operator fallback, and an optional seeded
-:class:`~repro.faults.FaultProfile` that switches chaos injection on
-for the whole session.
+backoff, a per-stage deadline, graceful indexed-operator fallback, and
+an optional seeded :class:`~repro.faults.FaultProfile` that switches
+chaos injection on for the whole session.
 """
 
 from __future__ import annotations
@@ -153,11 +152,6 @@ class Config:
     #: between tasks (a running task is not interrupted); with the
     #: process backend it is checked every driver tick.
     stage_timeout_s: float | None = None
-    #: Retries allowed for a failed broker poll/commit in the
-    #: ingestion loop before it gives up with RetryExhaustedError.
-    ingest_max_retries: int = 5
-    #: Base of the ingestion retry backoff, in seconds.
-    ingest_backoff_s: float = 0.01
     #: Degrade a failing indexed operator (IndexLookup / IndexedJoin)
     #: to the equivalent vanilla plan instead of aborting the query.
     index_fallback: bool = True
@@ -191,8 +185,6 @@ class Config:
     #: ... or once the oldest uncheckpointed WAL record is older than
     #: this many seconds (whichever comes first).
     wal_checkpoint_age_s: float = 30.0
-    #: Poll interval of the background checkpointer thread.
-    checkpoint_poll_s: float = 0.1
     #: Serving / resource governance: admission control, per-query
     #: deadlines with cooperative cancellation, memory budgets, and
     #: circuit breakers. Off by default —
@@ -303,12 +295,9 @@ class Config:
             self.stage_timeout_s is None or self.stage_timeout_s > 0,
             "positive (or None)",
         )
-        require("ingest_max_retries", self.ingest_max_retries >= 0, ">= 0")
-        require("ingest_backoff_s", self.ingest_backoff_s >= 0, ">= 0")
         require("target_reduce_bytes", self.target_reduce_bytes >= 1, ">= 1")
         require("wal_checkpoint_bytes", self.wal_checkpoint_bytes >= 1, ">= 1")
         require("wal_checkpoint_age_s", self.wal_checkpoint_age_s > 0, "positive")
-        require("checkpoint_poll_s", self.checkpoint_poll_s > 0, "positive")
         require("serving_max_concurrent", self.serving_max_concurrent >= 1, ">= 1")
         require("serving_queue_depth", self.serving_queue_depth >= 0, ">= 0")
         require(

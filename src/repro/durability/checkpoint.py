@@ -90,7 +90,6 @@ class DurableStore:
         fsync: bool = True,
         checkpoint_bytes: int = 4 * 1024 * 1024,
         checkpoint_age_s: float = 30.0,
-        poll_s: float = 0.1,
         breaker=None,
     ):
         self.directory = Path(directory)
@@ -101,7 +100,9 @@ class DurableStore:
         self._breaker = breaker
         self._checkpoint_bytes = checkpoint_bytes
         self._checkpoint_age_s = checkpoint_age_s
-        self._poll_s = poll_s
+        # The checkpointer polls often enough to honour the age
+        # threshold within a quarter of it, and at least every 100 ms.
+        self._poll_s = min(0.1, checkpoint_age_s / 4)
         # Serializes checkpoints (manual vs background) and guards the
         # writer/epoch bookkeeping they mutate.
         self._ckpt_lock = threading.Lock()

@@ -77,7 +77,6 @@ class DurabilityCoordinator:
                     fsync=config.wal_fsync,
                     checkpoint_bytes=config.wal_checkpoint_bytes,
                     checkpoint_age_s=config.wal_checkpoint_age_s,
-                    poll_s=config.checkpoint_poll_s,
                     breaker=breaker,
                 )
                 self._stores[name] = found

@@ -88,7 +88,7 @@ class RetryExhaustedError(EngineError):
 
     Raised by the scheduler when a task keeps failing with a transient
     cause past ``Config.task_max_retries``, and by the ingestion loop
-    when broker polling stays down past ``Config.ingest_max_retries``.
+    when broker polling stays down past ``IndexedIngest.max_retries``.
     """
 
     def __init__(self, site: str, attempts: int, cause: BaseException):

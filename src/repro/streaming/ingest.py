@@ -14,7 +14,7 @@ At-least-once contract:
   succeeded, so a crash anywhere in the poll→apply window replays the
   batch instead of losing it;
 * polls are retried with exponential backoff up to
-  ``Config.ingest_max_retries`` before raising
+  ``max_retries`` (default :data:`DEFAULT_MAX_RETRIES`) before raising
   :class:`~repro.errors.RetryExhaustedError`;
 * replayed records are deduplicated against a per-partition *applied
   watermark* (the next offset each partition still owes the store), so
@@ -38,6 +38,11 @@ from repro.errors import ReproError, RetryExhaustedError
 from repro.streaming.broker import Broker
 from repro.streaming.consumer import Consumer
 
+#: Retries allowed for a failed broker poll before the step gives up
+#: with RetryExhaustedError.
+DEFAULT_MAX_RETRIES = 5
+#: Base of the poll-retry and supervised-loop backoff, in seconds.
+DEFAULT_BACKOFF_S = 0.01
 #: Hard cap on one supervised-loop backoff sleep.
 _MAX_LOOP_BACKOFF_S = 0.5
 
@@ -53,17 +58,14 @@ class IndexedIngest:
         batch_size: int = 500,
         group: str = "ingest",
         on_batch: Callable[[IndexedDataFrame, int], None] | None = None,
-        max_retries: int | None = None,
-        backoff_s: float | None = None,
+        max_retries: int = DEFAULT_MAX_RETRIES,
+        backoff_s: float = DEFAULT_BACKOFF_S,
     ):
-        config = indexed.session.config
         self.consumer = Consumer(broker, topic, group)
         self.batch_size = batch_size
         self.on_batch = on_batch
-        self.max_retries = (
-            config.ingest_max_retries if max_retries is None else max_retries
-        )
-        self.backoff_s = config.ingest_backoff_s if backoff_s is None else backoff_s
+        self.max_retries = max_retries
+        self.backoff_s = backoff_s
         self._current = indexed  # guarded-by: _lock
         self._lock = threading.Lock()
         self._thread: threading.Thread | None = None

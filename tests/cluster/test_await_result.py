@@ -5,7 +5,8 @@ waits on the slots' futures, polling the stage clock and the query every
 tick. A cancelled or deadline-expired query must unwind even while its
 worker task never replies, a live query must still receive a late reply,
 and a doomed stage's attempts still queued on a slot must never reach a
-worker.
+worker. Stopping the backend resolves every task it was handed, the
+queued ones included.
 
 The tasks are module-level functions, pickled by reference, so the
 worker runs this module's copy of them. The events and the run counter
@@ -19,13 +20,14 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
+from concurrent.futures import wait
 
 import pytest
 
 from repro.cluster import process_backend
 from repro.engine.context import EngineContext
 from repro.engine.query import QueryContext, active
-from repro.errors import QueryCancelledError, TaskError
+from repro.errors import EngineError, QueryCancelledError, TaskError
 from tests.conftest import small_config
 
 #: Bound on every wait, so a regression fails instead of hanging.
@@ -33,10 +35,16 @@ WAIT_S = 30.0
 #: Bound on the driver's unwinding once its query is cancelled: many of
 #: the stage loop's ticks, far below a task that never replies.
 UNWIND_S = 2.0
+#: Bound on stop() with a worker that never replies: the dispatcher's
+#: and the worker's join timeouts, then the kill.
+STOP_S = 15.0
 
 _FORK = multiprocessing.get_context("fork")
 _STARTED = _FORK.Event()
 _GATE = _FORK.Event()
+#: Never set: a task waiting on it parks until its worker is killed,
+#: which leaves the event unusable.
+_NEVER = _FORK.Event()
 #: Worker-side executions per split.
 _RUNS = _FORK.Array("i", 8)
 
@@ -47,6 +55,15 @@ def _stall_split0(x: int) -> int:
     if x == 0:
         _STARTED.set()
         _GATE.wait(WAIT_S)
+    return x
+
+
+def _park_split0(x: int) -> int:
+    """Split 0 parks for good; the backend's stop() kills its worker."""
+    _RUNS[x] += 1
+    if x == 0:
+        _STARTED.set()
+        _NEVER.wait(WAIT_S)
     return x
 
 
@@ -145,3 +162,18 @@ def test_doomed_stage_never_runs_its_queued_attempts(ctx):
     assert ctx.parallelize(range(2), 2).collect() == [0, 1]
     assert [_RUNS[split] for split in (0, 2, 4, 6)] == [1, 0, 0, 0]
     assert ctx.backend.stats()["codec_fallbacks"] == 0
+
+
+def test_stop_resolves_every_queued_task(ctx):
+    # Split 0 parks on slot 0 with splits 2 and 4 queued behind it.
+    futures = [ctx.backend.run_task(_park_split0, split) for split in (0, 2, 4)]
+    assert _STARTED.wait(WAIT_S)
+    deadline = time.monotonic() + STOP_S
+    ctx.stop()
+    _done, pending = wait(futures, timeout=max(0.0, deadline - time.monotonic()))
+    assert not pending
+    for future in futures:
+        assert isinstance(future.exception(), EngineError)
+    assert [_RUNS[split] for split in (0, 2, 4)] == [1, 0, 0]
+    with pytest.raises(EngineError, match="stopped"):
+        ctx.backend.run_task(_park_split0, 1)

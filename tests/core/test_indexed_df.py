@@ -169,7 +169,7 @@ class TestDataFrameInterop:
 class TestPaperClaims:
     """The title's latency claim and §1's "relatively low memory
     overhead", asserted on counts and bytes rather than wall time
-    (ablations A2 and A4 time the same tables)."""
+    (they are ablations A2 and A4)."""
 
     SIZES = (1_000, 50_000)
 

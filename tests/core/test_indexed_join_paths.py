@@ -50,7 +50,7 @@ class TestDispatchAgreement:
     def test_broadcast_dispatch_boundary(self):
         """The join switches mode exactly at the threshold: a probe of
         ``broadcast_threshold`` rows streams into the index (no shuffle
-        stage), one more row shuffles (A5 times both sides)."""
+        stage), one more row shuffles (ablation A5)."""
         threshold = 50
         session, indexed, _probe = build_world(threshold)
         metrics = session.ctx.scheduler.metrics

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.partition import IndexedPartition
 from repro.core.pointers import PointerLayout
+from repro.core.rowbatch import HEADER_SIZE
 from repro.sql.types import LongType, StringType, StructField, StructType
 
 SCHEMA = StructType(
@@ -221,3 +222,33 @@ class TestAccounting:
         assert stats["data_bytes"] > 0
         assert stats["header_bytes"] == 100 * 10  # 10-byte headers
         assert stats["allocated_bytes"] >= stats["data_bytes"]
+
+
+class TestBatchSizeSweep:
+    """The row-batch size is a configurable knob (paper §2): any size
+    stores the same rows and answers the same lookups, however many
+    batches a key's backward chain crosses."""
+
+    ROWS = 20_000
+    KEYS = ROWS // 10  # 10 versions per key
+
+    @pytest.mark.parametrize(
+        "batch_size", [64 * 1024, 256 * 1024, 1024 * 1024, 4 * 1024 * 1024]
+    )
+    def test_same_rows_same_lookups(self, batch_size):
+        rows = [(i % self.KEYS, f"payload-{i:08d}" * 3) for i in range(self.ROWS)]
+        layout = PointerLayout.for_geometry(batch_size, 1024)
+        partition = IndexedPartition(SCHEMA, 0, layout, batch_size, 1024)
+        partition.append_many(rows)
+        key = self.KEYS // 2
+        newest_first = [row for row in reversed(rows) if row[0] == key]
+        assert len(newest_first) == 10
+        assert list(partition.snapshot().lookup(key)) == newest_first
+        # A record rolls to a fresh batch when it does not fit.
+        expected, used = 1, 0
+        for row in rows:
+            record = HEADER_SIZE + len(partition.codec.encode(row))
+            if used + record > batch_size:
+                expected, used = expected + 1, 0
+            used += record
+        assert partition.batches.num_batches == expected

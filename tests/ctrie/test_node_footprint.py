@@ -5,8 +5,8 @@ INodes per level — so the size of a node is the price of an append.
 These tests pin the layout: ``INode.main`` and ``MainNode.prev`` are
 plain slots, the only :class:`AtomicReference` is a trie's root, and
 renewing a full CNode allocates its 32 INodes, one tuple and the CNode.
-They also pin what that buys (Prokopec et al.; ablations A6 and A7 time
-it): a snapshot allocates the same handful of objects whatever the trie
+They also pin what that buys (Prokopec et al.; ablations A6 and A7):
+a snapshot allocates the same handful of objects whatever the trie
 holds, and an append-then-snapshot version cycle allocates in proportion
 to the batch and the trie's depth, not its size.
 """

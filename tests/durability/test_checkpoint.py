@@ -177,9 +177,7 @@ class TestBackgroundCheckpointer:
     def test_size_threshold_triggers_checkpoint(self, make_session):
         import time
 
-        session = make_session(
-            wal_checkpoint_bytes=256, checkpoint_poll_s=0.005
-        )
+        session = make_session(wal_checkpoint_bytes=256)
         indexed = build(session, some_rows(30))
         store = session.durability.store("t")
         indexed.append_rows(some_rows(30, base=100))
@@ -192,9 +190,7 @@ class TestBackgroundCheckpointer:
     def test_age_threshold_triggers_checkpoint(self, make_session):
         import time
 
-        session = make_session(
-            wal_checkpoint_age_s=0.02, checkpoint_poll_s=0.005
-        )
+        session = make_session(wal_checkpoint_age_s=0.02)
         build(session, some_rows(10))
         store = session.durability.store("t")
         deadline = time.monotonic() + 5.0
@@ -205,9 +201,7 @@ class TestBackgroundCheckpointer:
     def test_idle_store_is_not_checkpointed(self, make_session):
         import time
 
-        session = make_session(
-            wal_checkpoint_age_s=0.02, checkpoint_poll_s=0.005
-        )
+        session = make_session(wal_checkpoint_age_s=0.02)
         build(session, some_rows(10))
         store = session.durability.store("t")
         deadline = time.monotonic() + 5.0

@@ -17,7 +17,6 @@ def fault_config(**overrides) -> Config:
         default_parallelism=2,
         broadcast_threshold=50,
         retry_backoff_s=0.0005,
-        ingest_backoff_s=0.0005,
     )
     base.update(overrides)
     return Config(**base)

@@ -26,9 +26,7 @@ def run_pipeline(faults=None, task_max_retries=8, ingest_max_retries=8):
         default_parallelism=2,
         broadcast_threshold=50,
         task_max_retries=task_max_retries,
-        ingest_max_retries=ingest_max_retries,
         retry_backoff_s=0.0005,
-        ingest_backoff_s=0.0005,
         faults=faults,
     )
     session = Session(config)
@@ -47,7 +45,10 @@ def run_pipeline(faults=None, task_max_retries=8, ingest_max_retries=8):
             [(1000 + i, f"new{i}", 30 + i % 5) for i in range(120)],
             key_fn=lambda row: row[0],
         )
-        ingest = IndexedIngest(broker, "updates", indexed, batch_size=25)
+        ingest = IndexedIngest(
+            broker, "updates", indexed, batch_size=25,
+            max_retries=ingest_max_retries, backoff_s=0.0005,
+        )
         ingested = ingest.drain()
         current = ingest.current
 

@@ -15,6 +15,8 @@ from repro.streaming import Broker, IndexedIngest, Producer
 
 SCHEMA = [("id", "long"), ("payload", "string")]
 BASE_ROWS = 50
+#: Fast poll-retry backoff, so retry storms cost milliseconds.
+BACKOFF_S = 0.0005
 
 
 def make_world(session, profile=None, partitions=3):
@@ -34,7 +36,9 @@ class TestPollRetry:
         Producer(broker, "rows").send_all(
             [(100 + i, "x") for i in range(40)], key_fn=lambda r: r[0]
         )
-        ingest = IndexedIngest(broker, "rows", indexed, batch_size=10, max_retries=5)
+        ingest = IndexedIngest(
+            broker, "rows", indexed, batch_size=10, max_retries=5, backoff_s=BACKOFF_S
+        )
         assert ingest.drain() == 40
         assert ingest.current.count() == BASE_ROWS + 40
         assert ingest.poll_failures == 3
@@ -45,7 +49,7 @@ class TestPollRetry:
         broker, indexed = make_world(session, profile)
         Producer(broker, "rows").send_all([(100, "x")])
         ingest = IndexedIngest(
-            broker, "rows", indexed, max_retries=2, backoff_s=0.0005
+            broker, "rows", indexed, max_retries=2, backoff_s=BACKOFF_S
         )
         with pytest.raises(RetryExhaustedError) as exc_info:
             ingest.step()
@@ -135,7 +139,9 @@ class TestSupervisedLoop:
         )
         # max_retries=0: every injected read kills the loop body, so
         # recovery happens purely through supervision.
-        ingest = IndexedIngest(broker, "rows", indexed, batch_size=10, max_retries=0)
+        ingest = IndexedIngest(
+            broker, "rows", indexed, batch_size=10, max_retries=0, backoff_s=BACKOFF_S
+        )
         ingest.start(poll_interval=0.002)
         try:
             deadline = time.time() + 5.0
@@ -155,7 +161,9 @@ class TestMVCCUnderFaults:
         profile = FaultProfile(seed=21, broker_read_p=0.2, broker_commit_p=0.2)
         broker, indexed = make_world(session, profile)
         producer = Producer(broker, "rows")
-        ingest = IndexedIngest(broker, "rows", indexed, batch_size=16, max_retries=8)
+        ingest = IndexedIngest(
+            broker, "rows", indexed, batch_size=16, max_retries=8, backoff_s=BACKOFF_S
+        )
         total_sent = 240
         stop_readers = threading.Event()
         reader_errors: list[BaseException] = []

@@ -27,9 +27,7 @@ def run_sanitized_pipeline(faults):
         default_parallelism=2,
         broadcast_threshold=50,
         task_max_retries=8,
-        ingest_max_retries=8,
         retry_backoff_s=0.0005,
-        ingest_backoff_s=0.0005,
         batch_size_bytes=2048,  # small batches: many seal boundaries
         max_row_bytes=256,
         sanitizers_enabled=True,
@@ -54,6 +52,7 @@ def run_sanitized_pipeline(faults):
         )
         ingest = IndexedIngest(
             broker, "updates", indexed, batch_size=25,
+            max_retries=8, backoff_s=0.0005,
             on_batch=lambda df, _rows: snapshots.append(df),
         )
         ingested = ingest.drain()

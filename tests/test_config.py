@@ -97,8 +97,6 @@ class TestDurabilityKnobs:
             Config(wal_checkpoint_bytes=0)
         with pytest.raises(ValueError):
             Config(wal_checkpoint_age_s=0)
-        with pytest.raises(ValueError):
-            Config(checkpoint_poll_s=0)
 
 
 class TestServingKnobs:

@@ -30,13 +30,23 @@ def test_quickstart_runs():
     assert "IndexedJoin" in out
 
 
+@pytest.mark.slow
+def test_threat_detection_runs():
+    out = run_example("threat_detection.py")
+    assert "-- wave 2: table at version" in out
+    assert "threat-detection demo done." in out
+
+
+@pytest.mark.slow
+def test_graph_monitoring_runs():
+    out = run_example("graph_monitoring.py")
+    for query in ("SQ1", "SQ7"):
+        assert f"    4    {query}" in out
+    assert "final graph:" in out
+
+
 def test_examples_exist_and_compile():
-    for name in (
-        "quickstart.py",
-        "graph_monitoring.py",
-        "threat_detection.py",
-        "social_graph_analytics.py",
-    ):
+    for name in ("quickstart.py", "graph_monitoring.py", "threat_detection.py"):
         path = os.path.join(EXAMPLES, name)
         assert os.path.exists(path)
         source = open(path).read()

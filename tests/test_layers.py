@@ -51,8 +51,6 @@ LAYERS = {
     # The composition root, applications and tools.
     "repro.sql.session": 5,
     "repro.analysis": 5,
-    "repro.graph": 5,
-    "repro.io": 5,
     "repro.snb": 5,
 }
 
