@@ -13,8 +13,6 @@ document with ``--format json``), exit nonzero if anything was found.
 
 * ``--select`` / ``--ignore`` filter by rule id or family prefix
   (``--select ET,LO`` or ``--ignore CP001``);
-* ``--baseline FILE`` suppresses grandfathered findings; every entry
-  needs a justification comment and stale entries are reported;
 * ``--self-check`` (on by default) compiles representative expression
   kernels through :mod:`repro.codegen`, running the CG rules on real
   emitter output.
@@ -36,7 +34,6 @@ from repro.analysis import (
     sitecheck,
     taxonomy,
 )
-from repro.analysis.baseline import Baseline, load_baseline
 from repro.analysis.program import Program
 from repro.analysis.report import RULES, Violation
 
@@ -158,10 +155,6 @@ def main(argv: list[str] | None = None) -> int:
         help="comma-separated rule ids or family prefixes to skip",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE",
-        help="baseline file of justified, grandfathered findings",
-    )
-    parser.add_argument(
         "--no-self-check", action="store_true",
         help="skip compiling representative codegen kernels",
     )
@@ -176,13 +169,6 @@ def main(argv: list[str] | None = None) -> int:
     violations = check_paths(
         args.paths, _split_rules(args.select), _split_rules(args.ignore)
     )
-
-    stale: list[str] = []
-    baseline_errors: list[str] = []
-    if args.baseline:
-        baseline: Baseline = load_baseline(args.baseline)
-        baseline_errors = list(baseline.errors)
-        violations, stale = baseline.apply(violations)
 
     errors: list[str] = []
     if not args.no_self_check:
@@ -201,8 +187,6 @@ def main(argv: list[str] | None = None) -> int:
                     }
                     for v in violations
                 ],
-                "baseline_errors": baseline_errors,
-                "stale_baseline": stale,
                 "self_check_failures": errors,
             },
             indent=2,
@@ -210,17 +194,12 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for violation in violations:
             print(violation.render())
-        for error in baseline_errors:
-            print(error)
-        for warning in stale:
-            print(warning)
         for error in errors:
             print(error)
 
-    if violations or errors or baseline_errors:
+    if violations or errors:
         print(
             f"repro.analysis: {len(violations)} violation(s), "
-            f"{len(baseline_errors)} baseline error(s), "
             f"{len(errors)} self-check failure(s)",
             file=sys.stderr,
         )

@@ -5,9 +5,8 @@ session injects the stack :func:`process_backend` builds into its
 engine context. The default ``executors=0`` keeps the engine fully
 in-process, and the engine never imports this package. See DESIGN.md §13
 for the process model and §16 for the gray-failure hardening —
-heartbeats (:mod:`repro.cluster.liveness`), per-RPC deadlines, fenced
-respawn, and worker-local WAL replay
-(:mod:`repro.cluster.walship`).
+heartbeats (:mod:`repro.cluster.liveness`), per-RPC deadlines and
+fenced respawn.
 """
 
 from repro.cluster.backend import ProcessBackend, process_backend
@@ -20,7 +19,6 @@ from repro.cluster.spill import (
     SpillMapWriter,
     set_worker_identity,
 )
-from repro.cluster.walship import WorkerWalCache
 
 __all__ = [
     "ClusterShuffleManager",
@@ -32,7 +30,6 @@ __all__ = [
     "SpillMapWriter",
     "WorkerShipCache",
     "WorkerShuffleClient",
-    "WorkerWalCache",
     "beat_loop",
     "process_backend",
     "set_worker_identity",

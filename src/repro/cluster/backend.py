@@ -65,7 +65,6 @@ from repro.errors import (
     FAIL_STOP,
     ClusterTimeoutError,
     EngineError,
-    WalReplayError,
     WorkerLostError,
 )
 from repro.faults import NULL_INJECTOR, FaultInjector
@@ -88,6 +87,7 @@ class _WorkerSlot:
         "flag",
         "lock",
         "query",
+        "in_flight",
         "generation",
         "process",
         "conn",
@@ -105,6 +105,8 @@ class _WorkerSlot:
         self.lock = threading.Lock()
         #: The query whose task is on the slot now, if any.
         self.query: QueryContext | None = None  # guarded-by: lock
+        #: True while an envelope is on the pipe awaiting its reply.
+        self.in_flight = False  # guarded-by: lock
         self.generation = 0
         self.process = None
         self.conn = None
@@ -160,7 +162,6 @@ class ProcessBackend(ExecutorBackend):
             "hangs_injected": 0,
             "delays_injected": 0,
             "drops_injected": 0,
-            "wal_replay_fallbacks": 0,
         }
         #: Fence verdicts per (slot_id, generation): why a generation
         #: was killed. Consumed by the dispatcher's death path to pick
@@ -298,9 +299,7 @@ class ProcessBackend(ExecutorBackend):
                 except OSError:
                     pass
                 if self._stopped:
-                    box.set_exception(
-                        EngineError("executor backend stopped mid-task")
-                    )
+                    box.set_exception(EngineError("executor backend stopped"))
                     return
                 # Fence the dead generation *before* respawn: a zombie
                 # reply already decoded on another thread, or a spill
@@ -349,14 +348,6 @@ class ProcessBackend(ExecutorBackend):
                 self._kill_slot(slot)
                 slot.queue.put(item)
                 continue
-            if status == "err" and isinstance(payload_obj, WalReplayError):
-                # Worker-local replay cannot reproduce this snapshot:
-                # gate the partition back onto the shm path so the
-                # retried task re-pickles with a segment token.
-                self._ship.disable_wal_ship(
-                    (payload_obj.store_dir, payload_obj.partition_index)
-                )
-                self._bump("wal_replay_fallbacks")
             self._replay_deltas(deltas)
             if status == "ok":
                 box.set_result(payload_obj)
@@ -369,7 +360,12 @@ class ProcessBackend(ExecutorBackend):
         """Send one envelope and receive its reply, with ``query``'s
         cancellation mirrored into the slot's flag for exactly as long."""
         with slot.lock:
+            if self._stopped:
+                # stop() has passed this slot: send nothing. The death
+                # path closes the pipe, which ends the idle worker.
+                raise EOFError("executor backend stopped")
             slot.query = query
+            slot.in_flight = True
         mirror = functools.partial(slot.mirror_cancel, query)
         if query is not None:
             query.token.add_listener(mirror)
@@ -381,6 +377,7 @@ class ProcessBackend(ExecutorBackend):
                 query.token.remove_listener(mirror)
             with slot.lock:
                 slot.query = None
+                slot.in_flight = False
                 slot.flag.value = 0
 
     def _recv_reply(self, slot: _WorkerSlot) -> bytes:
@@ -562,6 +559,14 @@ class ProcessBackend(ExecutorBackend):
             self._monitor.stop()
         for slot in self._slots:
             slot.queue.put(_STOP)
+            # A worker busy in a task reads its MSG_STOP only once the
+            # task ends: kill it now. Its dispatcher's EOF path fails the
+            # in-flight box and returns, and no dispatcher sends another
+            # envelope once _stopped is set.
+            with slot.lock:
+                in_flight = slot.in_flight
+            if in_flight:
+                self._kill_slot(slot)
         for slot in self._slots:
             if slot.thread is not None:
                 slot.thread.join(timeout=_JOIN_TIMEOUT_S)
@@ -570,9 +575,8 @@ class ProcessBackend(ExecutorBackend):
             if process is None:
                 continue
             # Escalate until the process is actually gone: join →
-            # SIGTERM → SIGKILL. A worker wedged in a hang directive (or
-            # a real gray failure) ignores everything short of the kill,
-            # and a leaked zombie holds its shm attachments forever.
+            # SIGTERM → SIGKILL. A leaked zombie holds its shm
+            # attachments forever.
             process.join(timeout=_JOIN_TIMEOUT_S)
             if process.is_alive():
                 process.terminate()

@@ -127,17 +127,6 @@ class TaskPickler(pickle.Pickler):
             # once.
             return ("injector",)
         if isinstance(obj, PartitionSnapshot):
-            # Durable partitions ship as a WAL reference when possible:
-            # the worker rebuilds the snapshot locally from its shard's
-            # checkpoint + WAL (no segment, no snapshot re-ship after a
-            # respawn). A prior replay failure gates the partition back
-            # onto the shm path.
-            ref = getattr(obj.partition, "durable_ref", None)
-            if ref is not None and self._ship.allows_wal_ship(ref):
-                return (
-                    "wal",
-                    (ref[0], ref[1], obj.row_count, obj.watermark),
-                )
             return ("ship", self._ship.token_for_snapshot(obj))
         if isinstance(obj, (BaseRelation, Broadcast)):
             return ("ship", self._ship.token_for_object(obj))
@@ -205,11 +194,6 @@ class TaskUnpickler(pickle.Unpickler):
             return NULL_INJECTOR
         if kind == "ship":
             return self._worker.ship_cache.load(pid[1])
-        if kind == "wal":
-            store_dir, pindex, row_count, watermark = pid[1]
-            return self._worker.wal_cache.load(
-                store_dir, pindex, row_count, watermark
-            )
         if kind == "acc":
             return self._worker.accumulator_proxy(pid[1])
         raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")

@@ -96,24 +96,6 @@ class DriverShipStore:
         self._snapshot_tokens: dict[tuple, str] = {}  # guarded-by: _lock
         self._snapshot_latest: dict[int, str] = {}  # guarded-by: _lock
         self._pinned: list[Any] = []  # guarded-by: _lock  (keeps ids stable)
-        #: Durable partitions — keyed ``(store_dir, partition_index)`` —
-        #: whose worker-local WAL replay failed once (checkpoint raced
-        #: past the snapshot, GC'd epoch, torn files). The codec stops
-        #: emitting wal tokens for them and ships shm segments instead.
-        self._wal_ship_disabled: set[tuple[str, int]] = set()  # guarded-by: _lock
-
-    # -- worker-local WAL-replay shipping -------------------------------
-
-    def allows_wal_ship(self, ref: tuple[str, int]) -> bool:
-        with self._lock:
-            return ref not in self._wal_ship_disabled
-
-    def disable_wal_ship(self, ref: tuple[str, int]) -> None:
-        """Permanently fall back to shm shipping for one partition after
-        a worker-side replay failure — retries then re-pickle the task
-        envelope and take the segment path."""
-        with self._lock:
-            self._wal_ship_disabled.add(ref)
 
     # -- publishing -----------------------------------------------------
 

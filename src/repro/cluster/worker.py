@@ -115,7 +115,6 @@ class WorkerContext:
 
     def __init__(self, worker_id: int, config) -> None:
         from repro.cluster.shm import WorkerShipCache
-        from repro.cluster.walship import WorkerWalCache
         from repro.stats import PruningMetrics
 
         self.worker_id = worker_id
@@ -124,7 +123,6 @@ class WorkerContext:
         self.block_manager = BlockManager(config.cache_capacity_bytes)
         self.shuffle_manager = WorkerShuffleClient(config.rpc_max_retries)
         self.ship_cache = WorkerShipCache()
-        self.wal_cache = WorkerWalCache(config)
         self.pruning_metrics = PruningMetrics()
         self.serving = None
         self._task_accumulators: dict[int, _AccumulatorProxy] = {}

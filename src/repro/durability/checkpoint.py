@@ -231,10 +231,6 @@ class DurableStore:
                 )
                 self._writers.append(writer)
                 partition.attach_wal(writer)
-                # Durable identity for worker-local WAL replay: the
-                # cluster codec ships ("wal", ref, ...) tokens instead
-                # of shm snapshots for partitions that carry one.
-                partition.durable_ref = (str(self.directory), i)
             with self._meta_lock:
                 self._meta_wal = WALWriter(
                     self.meta_wal_path(epoch),

@@ -301,30 +301,6 @@ class DurabilityError(ReproError):
     """
 
 
-class WalReplayError(DurabilityError):
-    """A worker-local WAL replay could not reproduce the driver's
-    snapshot (checkpoint raced past it, a WAL epoch was garbage-
-    collected mid-read, or the rebuilt watermark diverged).
-
-    **Transient** (it is a :class:`DurabilityError`): the driver's
-    durable state is intact — only this worker's local rebuild missed.
-    The dispatcher disables WAL-shipping for the partition and the
-    scheduler's retry re-ships the snapshot through shared memory.
-    """
-
-    def __init__(self, store_dir: str, partition_index: int, detail: str):
-        self.store_dir = store_dir
-        self.partition_index = partition_index
-        self.detail = detail
-        super().__init__(
-            f"worker WAL replay of {store_dir!r} partition "
-            f"{partition_index} failed: {detail}"
-        )
-
-    def __reduce__(self):
-        return (type(self), (self.store_dir, self.partition_index, self.detail))
-
-
 class RecoveryError(Exception):
     """Durable state could not be restored on startup.
 

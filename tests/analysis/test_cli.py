@@ -71,8 +71,8 @@ def test_json_format_is_machine_readable():
     )
     assert result.returncode == 1
     doc = json.loads(result.stdout)
+    assert set(doc) == {"files_checked", "violations", "self_check_failures"}
     assert doc["files_checked"] == 1
-    assert doc["baseline_errors"] == []
     assert doc["self_check_failures"] == []
     rules = {v["rule"] for v in doc["violations"]}
     assert {"ET001", "ET002", "ET003", "ET004"} <= rules
@@ -92,33 +92,3 @@ def test_select_and_ignore_filter_by_rule_or_family():
     assert {"ET001", "ET002", "ET003", "ET004"} <= {
         line.split()[1] for line in family.stdout.strip().splitlines()
     }
-
-
-def test_baseline_suppresses_with_justification_only(tmp_path):
-    # Relative path: baseline entries match the reported path verbatim.
-    fixture = "tests/analysis/fixtures/bad_fault_sites.py"
-    good = tmp_path / "baseline.txt"
-    good.write_text(
-        "FS001 tests/analysis/fixtures/bad_fault_sites.py  # seeded fixture\n",
-        encoding="utf-8",
-    )
-    result = run_cli(fixture, "--baseline", str(good), "--no-self-check")
-    assert result.returncode == 0, result.stdout
-    bad = tmp_path / "bad_baseline.txt"
-    bad.write_text(
-        "FS001 tests/analysis/fixtures/bad_fault_sites.py\n", encoding="utf-8"
-    )
-    result = run_cli(fixture, "--baseline", str(bad), "--no-self-check")
-    assert result.returncode == 1
-    assert "justification" in result.stdout
-
-
-def test_stale_baseline_entries_are_reported(tmp_path):
-    baseline = tmp_path / "baseline.txt"
-    baseline.write_text("ET001 src/no/such/file.py  # long gone\n", encoding="utf-8")
-    result = run_cli(
-        "src/repro/analysis/report.py", "--baseline", str(baseline),
-        "--no-self-check",
-    )
-    assert result.returncode == 0, result.stdout
-    assert "stale" in result.stdout

@@ -10,6 +10,7 @@ import pytest
 from repro.cluster.codec import TaskCodec, dumps_reply, loads_envelope, loads_reply
 from repro.cluster.shm import DriverShipStore, WorkerShipCache
 from repro.cluster.worker import _AccumulatorProxy
+from repro.core import create_index
 from repro.engine.accumulators import long_accumulator
 from repro.errors import EngineError
 
@@ -134,6 +135,21 @@ def test_ship_store_publishes_once(ship):
         assert cache.load(token_a) is loaded  # cached, one attach
     finally:
         cache.close()
+
+
+def test_non_durable_snapshot_still_ships_shm(ship, indexed_session):
+    """A partition snapshot crosses the process boundary as a segment."""
+    df = indexed_session.create_dataframe(
+        [(i, f"v{i}") for i in range(10)], [("id", "long"), ("name", "string")]
+    )
+    snap = next(
+        snap
+        for snap in (p.snapshot() for p in create_index(df, "id").store.partitions)
+        if snap.row_count
+    )
+    out, _worker, _codec = roundtrip(ship, {"snap": snap})
+    assert out["snap"].row_count == snap.row_count
+    assert len(ship._segments) > 0
 
 
 def test_unpicklable_closure_raises_for_fallback(ship):
