@@ -329,7 +329,7 @@ class ProcessBackend(ExecutorBackend):
                     )
                 continue
             try:
-                status, payload_obj, deltas, reply_generation = loads_reply(raw)
+                status, payload_obj, reply_generation = loads_reply(raw)
             except FAIL_STOP:
                 raise
             except Exception as exc:  # noqa: BLE001 - defensive decode
@@ -348,7 +348,6 @@ class ProcessBackend(ExecutorBackend):
                 self._kill_slot(slot)
                 slot.queue.put(item)
                 continue
-            self._replay_deltas(deltas)
             if status == "ok":
                 box.set_result(payload_obj)
             else:
@@ -412,15 +411,6 @@ class ProcessBackend(ExecutorBackend):
         process = slot.process
         if process is not None and process.is_alive():
             process.kill()
-
-    def _replay_deltas(self, deltas: list) -> None:
-        """Fold worker-side accumulator adds into the driver objects."""
-        for accumulator_id, values in deltas:
-            accumulator = self._codec.accumulators.get(accumulator_id)
-            if accumulator is None:
-                continue
-            for value in values:
-                accumulator.add(value)
 
     # -- backend surface ------------------------------------------------
 
@@ -542,6 +532,7 @@ class ProcessBackend(ExecutorBackend):
             counters = dict(self._counters)
         counters["workers"] = len(self._slots)
         counters["generations"] = sum(s.generation for s in self._slots)
+        counters["shm_segments"] = self._ship.live_segments()
         if self._monitor is not None:
             for key, value in self._monitor.stats().items():
                 if key != "heartbeat_fences":  # backend counts fences itself

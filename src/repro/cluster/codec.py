@@ -15,10 +15,9 @@ pickler (the cloudpickle idea, reduced to what this engine needs):
   process-local context, the driver's
   :class:`~repro.faults.FaultInjector` becomes the worker's no-op
   injector (fault draws happen on the driver, once per event, so a
-  seeded run replays exactly), accumulators become write-only proxies
-  whose deltas ride home in the reply envelope, and heavy leaf data
-  (partition snapshots, relations, broadcasts) becomes a shared-memory
-  token resolved by the :class:`~repro.cluster.shm.WorkerShipCache`.
+  seeded run replays exactly), and heavy leaf data (partition
+  snapshots, relations, broadcasts) becomes a shared-memory token
+  resolved by the :class:`~repro.cluster.shm.WorkerShipCache`.
 
 Anything else unpicklable raises — and the process backend falls back
 to running that one task in-process, so exotic user closures degrade
@@ -102,10 +101,9 @@ def _resolves_by_reference(fn: types.FunctionType) -> bool:
 class TaskPickler(pickle.Pickler):
     """Driver-side pickler for one task envelope."""
 
-    def __init__(self, file, ship_store, accumulators: dict[int, Any]):
+    def __init__(self, file, ship_store):
         super().__init__(file, protocol=PICKLE_PROTOCOL)
         self._ship = ship_store
-        self._accumulators = accumulators
 
     # -- driver-singleton substitution ---------------------------------
 
@@ -113,7 +111,6 @@ class TaskPickler(pickle.Pickler):
         # Imported lazily: this module must stay importable from worker
         # processes before the engine package finishes initialising.
         from repro.core.partition import PartitionSnapshot
-        from repro.engine.accumulators import Accumulator
         from repro.engine.broadcast import Broadcast
         from repro.engine.context import EngineContext
         from repro.faults import FaultInjector
@@ -130,9 +127,6 @@ class TaskPickler(pickle.Pickler):
             return ("ship", self._ship.token_for_snapshot(obj))
         if isinstance(obj, (BaseRelation, Broadcast)):
             return ("ship", self._ship.token_for_object(obj))
-        if isinstance(obj, Accumulator):
-            self._accumulators[obj.accumulator_id] = obj
-            return ("acc", obj.accumulator_id)
         return None
 
     # -- by-value functions --------------------------------------------
@@ -194,8 +188,6 @@ class TaskUnpickler(pickle.Unpickler):
             return NULL_INJECTOR
         if kind == "ship":
             return self._worker.ship_cache.load(pid[1])
-        if kind == "acc":
-            return self._worker.accumulator_proxy(pid[1])
         raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
 
 
@@ -204,14 +196,10 @@ class TaskCodec:
 
     def __init__(self, ship_store) -> None:
         self._ship = ship_store
-        #: Accumulators referenced by shipped closures, by id — the
-        #: dispatcher replays worker deltas through them. Written only
-        #: while the per-worker dispatch lock serialises envelopes.
-        self.accumulators: dict[int, Any] = {}
 
     def dumps_envelope(self, envelope: dict) -> bytes:
         buffer = io.BytesIO()
-        TaskPickler(buffer, self._ship, self.accumulators).dump(envelope)
+        TaskPickler(buffer, self._ship).dump(envelope)
         return buffer.getvalue()
 
 
@@ -219,17 +207,13 @@ def loads_envelope(data: bytes, worker_context) -> dict:
     return TaskUnpickler(io.BytesIO(data), worker_context).load()
 
 
-def dumps_reply(
-    status: str, payload: Any, deltas: list, generation: int = 0
-) -> bytes:
+def dumps_reply(status: str, payload: Any, generation: int = 0) -> bytes:
     """Worker → driver reply; falls back to a repr-only error when the
     payload itself refuses to pickle. ``generation`` stamps the reply
     with the worker's spawn generation so the dispatcher can fence a
     zombie's late answer."""
     try:
-        return pickle.dumps(
-            (status, payload, deltas, generation), protocol=PICKLE_PROTOCOL
-        )
+        return pickle.dumps((status, payload, generation), protocol=PICKLE_PROTOCOL)
     except FAIL_STOP:
         raise
     except Exception:  # noqa: BLE001 - any pickling failure
@@ -243,10 +227,8 @@ def dumps_reply(
             substitute = EngineError(
                 f"worker task result was unpicklable: {type(payload).__name__}"
             )
-        return pickle.dumps(
-            ("err", substitute, deltas, generation), protocol=PICKLE_PROTOCOL
-        )
+        return pickle.dumps(("err", substitute, generation), protocol=PICKLE_PROTOCOL)
 
 
-def loads_reply(data: bytes) -> tuple[str, Any, list, int]:
+def loads_reply(data: bytes) -> tuple[str, Any, int]:
     return pickle.loads(data)

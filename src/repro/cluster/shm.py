@@ -21,14 +21,16 @@ MVCC contract. The worker rebuilds a read-only view whose
 :class:`~repro.core.rowbatch.BatchManager` buffers are memoryviews
 straight into the mapped segment: no copy, no re-decode.
 
-Lifecycle: the **driver** owns every segment and unlinks them all at
-backend shutdown. Workers only attach (suppressing the attach-time
-resource-tracker registration so no tracker ever tries to unlink a
-segment it does not own).
-Re-publishing the same partition at a newer watermark creates a new
-segment; the driver keeps the latest per partition and unlinks the
-superseded one (POSIX keeps mapped segments readable after unlink, so
-a worker mid-scan on the old version is unaffected).
+Lifecycle: the **driver** owns every segment. A segment lives exactly
+as long as the object it ships: the store maps each shipped object
+weakly to its token, the object's death queues the segment, and the
+next publish unlinks it; backend shutdown unlinks the rest. A snapshot
+is shipped once per object, so two versions a query alternates
+between keep one segment each, and a broadcast join's build side goes
+with its job. POSIX keeps mapped segments readable after unlink, so a
+worker mid-scan on a dropped version is unaffected. Workers only
+attach (suppressing the attach-time resource-tracker registration so
+no tracker ever tries to unlink a segment it does not own).
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ import os
 import secrets
 import struct
 import threading
+import weakref
+from collections import deque
 from multiprocessing import shared_memory
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.partition import PartitionSnapshot
 from repro.core.rowbatch import BatchManager
@@ -87,88 +91,58 @@ def _read_segment(shm: shared_memory.SharedMemory) -> tuple[dict, int]:
 
 
 class DriverShipStore:
-    """Driver-side publisher: object → segment token, once."""
+    """Driver-side publisher: object → segment token, once per object."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._segments: dict[str, shared_memory.SharedMemory] = {}  # guarded-by: _lock
-        self._object_tokens: dict[int, str] = {}  # guarded-by: _lock
-        self._snapshot_tokens: dict[tuple, str] = {}  # guarded-by: _lock
-        self._snapshot_latest: dict[int, str] = {}  # guarded-by: _lock
-        self._pinned: list[Any] = []  # guarded-by: _lock  (keeps ids stable)
+        self._tokens: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # guarded-by: _lock
+        #: Segments whose object died. Appended by finalizers, which may
+        #: run on a thread already inside ``_lock``, so never under it.
+        self._dead: deque[str] = deque()
 
     # -- publishing -----------------------------------------------------
 
     def token_for_object(self, obj: Any) -> str:
         """Publish a plain-picklable immutable object once, by identity."""
-        with self._lock:
-            token = self._object_tokens.get(id(obj))
-            if token is not None:
-                return token
-            shm = _write_segment({"kind": "object", "object": obj}, [])
-            self._segments[shm.name] = shm
-            self._object_tokens[id(obj)] = shm.name
-            self._pinned.append(obj)
-            return shm.name
+        return self._publish(obj, lambda: ({"kind": "object", "object": obj}, []))
 
     def token_for_snapshot(self, snap: PartitionSnapshot) -> str:
         """Publish a partition snapshot's batches + index manifest once.
 
-        Keyed by ``(partition identity, watermark)``: appends move the
-        watermark and naturally produce a fresh segment, while repeated
-        queries at one version reuse the published one.
+        A partition hands out one snapshot object per version while
+        anyone holds it, so repeated queries at one version reuse the
+        published segment and an append's new version gets a fresh one.
         """
-        partition = snap.partition
-        key = (id(partition), snap.watermark)
+        return self._publish(snap, lambda: _snapshot_segment(snap))
+
+    def _publish(self, obj: Any, build: Callable[[], tuple[dict, list[bytes]]]) -> str:
         with self._lock:
-            token = self._snapshot_tokens.get(key)
+            self._reap_locked()
+            token = self._tokens.get(obj)
             if token is not None:
                 return token
-            batch_count, last_len = snap.watermark
-            manager = partition.batches
-            # Used prefixes below the watermark: immutable once published
-            # (sealed batches never change; the tail batch only grows
-            # past last_len, which this snapshot never reads).
-            lengths = [
-                manager._lengths[i] if i < batch_count - 1 else last_len
-                for i in range(batch_count)
-            ]
-            data_parts = [
-                bytes(memoryview(manager.buffers[i])[: lengths[i]])
-                for i in range(batch_count)
-            ]
-            meta = {
-                "kind": "snapshot",
-                "schema": partition.schema,
-                "key_ordinal": partition.key_ordinal,
-                "max_row_bytes": partition.codec.max_row_bytes,
-                "layout": manager.layout,
-                "batch_size": manager.batch_size,
-                "lengths": lengths,
-                "watermark": snap.watermark,
-                "index": dict(snap.trie.to_dict()),
-                "row_count": snap.row_count,
-                "distinct_keys": snap.distinct_keys,
-                "batch_zones": snap.batch_zones,
-                "zone": snap.zone,
-            }
+            meta, data_parts = build()
             shm = _write_segment(meta, data_parts)
             self._segments[shm.name] = shm
-            self._snapshot_tokens[key] = shm.name
-            self._pinned.append(snap)
-            stale = self._snapshot_latest.get(id(partition))
-            self._snapshot_latest[id(partition)] = shm.name
-            if stale is not None:
-                self._unlink_locked(stale)
+            self._tokens[obj] = shm.name
+            weakref.finalize(obj, self._dead.append, shm.name)
             return shm.name
+
+    def live_segments(self) -> int:
+        """Segments published and not yet unlinked."""
+        with self._lock:
+            self._reap_locked()
+            return len(self._segments)
+
+    def _reap_locked(self) -> None:  # requires-lock: _lock
+        while self._dead:
+            self._unlink_locked(self._dead.popleft())
 
     def _unlink_locked(self, name: str) -> None:  # requires-lock: _lock
         shm = self._segments.pop(name, None)
         if shm is None:
             return
-        self._snapshot_tokens = {
-            k: v for k, v in self._snapshot_tokens.items() if v != name
-        }
         try:
             shm.close()
             shm.unlink()
@@ -179,9 +153,41 @@ class DriverShipStore:
         with self._lock:
             for name in list(self._segments):
                 self._unlink_locked(name)
-            self._object_tokens.clear()
-            self._snapshot_latest.clear()
-            self._pinned.clear()
+            self._tokens.clear()
+
+
+def _snapshot_segment(snap: PartitionSnapshot) -> tuple[dict, list[bytes]]:
+    """Meta block and data parts of one partition snapshot's segment."""
+    partition = snap.partition
+    batch_count, last_len = snap.watermark
+    manager = partition.batches
+    # Used prefixes below the watermark: immutable once published
+    # (sealed batches never change; the tail batch only grows past
+    # last_len, which this snapshot never reads).
+    lengths = [
+        manager._lengths[i] if i < batch_count - 1 else last_len
+        for i in range(batch_count)
+    ]
+    data_parts = [
+        bytes(memoryview(manager.buffers[i])[: lengths[i]])
+        for i in range(batch_count)
+    ]
+    meta = {
+        "kind": "snapshot",
+        "schema": partition.schema,
+        "key_ordinal": partition.key_ordinal,
+        "max_row_bytes": partition.codec.max_row_bytes,
+        "layout": manager.layout,
+        "batch_size": manager.batch_size,
+        "lengths": lengths,
+        "watermark": snap.watermark,
+        "index": dict(snap.trie.to_dict()),
+        "row_count": snap.row_count,
+        "distinct_keys": snap.distinct_keys,
+        "batch_zones": snap.batch_zones,
+        "zone": snap.zone,
+    }
+    return meta, data_parts
 
 
 class _SharedPartition:

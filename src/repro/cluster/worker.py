@@ -87,29 +87,6 @@ class SharedFlagToken:
         return False
 
 
-class _AccumulatorProxy:
-    """Write-only accumulator stand-in; adds ride home in the reply."""
-
-    __slots__ = ("accumulator_id", "deltas")
-
-    def __init__(self, accumulator_id: int) -> None:
-        self.accumulator_id = accumulator_id
-        self.deltas: list[Any] = []
-
-    def add(self, amount: Any) -> None:
-        self.deltas.append(amount)
-
-    def __iadd__(self, amount: Any) -> "_AccumulatorProxy":
-        self.deltas.append(amount)
-        return self
-
-    @property
-    def value(self) -> Any:
-        raise EngineError(
-            "accumulator values are driver-side only; tasks may only add"
-        )
-
-
 class WorkerContext:
     """Process-local EngineContext stand-in for shipped RDD graphs."""
 
@@ -125,33 +102,11 @@ class WorkerContext:
         self.ship_cache = WorkerShipCache()
         self.pruning_metrics = PruningMetrics()
         self.serving = None
-        self._task_accumulators: dict[int, _AccumulatorProxy] = {}
 
     # -- codec hooks ----------------------------------------------------
 
-    def accumulator_proxy(self, accumulator_id: int) -> _AccumulatorProxy:
-        proxy = self._task_accumulators.get(accumulator_id)
-        if proxy is None:
-            proxy = self._task_accumulators[accumulator_id] = _AccumulatorProxy(
-                accumulator_id
-            )
-        return proxy
-
-    def begin_task(self) -> None:
-        """Reset per-task state *before* the envelope unpickles: the
-        unpickler repopulates the proxy registry as it resolves
-        ``("acc", id)`` tokens inside the task closure."""
-        self._task_accumulators = {}
-
     def install_plan(self, plan: dict) -> None:
         self.shuffle_manager.install_plan(plan)
-
-    def collect_deltas(self) -> list[tuple[int, list[Any]]]:
-        return [
-            (acc_id, proxy.deltas)
-            for acc_id, proxy in self._task_accumulators.items()
-            if proxy.deltas
-        ]
 
     # -- driver-only surface -------------------------------------------
 
@@ -220,7 +175,6 @@ def worker_main(
                 # nothing below the scheduler may absorb it.
                 os._exit(137)
             try:
-                ctx.begin_task()
                 envelope = loads_envelope(body, ctx)
                 chaos = envelope.get("chaos")
                 if chaos == "hang":
@@ -252,9 +206,9 @@ def worker_main(
                     # the floor. Beats continue, so only the per-RPC
                     # deadline (not the heartbeat) can fence us.
                     continue
-                reply = dumps_reply("ok", result, ctx.collect_deltas(), generation)
+                reply = dumps_reply("ok", result, generation)
             except BaseException as exc:  # lint: allow[ET002] -- exception is the reply; the driver re-raises it
-                reply = dumps_reply("err", exc, ctx.collect_deltas(), generation)
+                reply = dumps_reply("err", exc, generation)
             try:
                 conn.send_bytes(reply)
             except (BrokenPipeError, OSError):

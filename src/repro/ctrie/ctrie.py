@@ -12,9 +12,10 @@ The control flow mirrors the reference Scala implementation:
   it into the current generation (``CNode.renewed``), so a snapshot
   never observes post-snapshot mutations.
 
-Public surface is dict-like (``insert``/``lookup``/``remove``,
-``__getitem__`` and friends) plus :meth:`CTrie.snapshot` and
-:meth:`CTrie.readonly_snapshot`.
+Public surface is dict-like (``insert``/``lookup``, ``__getitem__``
+and friends) plus :meth:`CTrie.snapshot` and
+:meth:`CTrie.readonly_snapshot`. Removal is omitted: the paper's
+tables are append-only, so no caller ever deletes a key.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ from repro.ctrie.nodes import (
     LNode,
     MainNode,
     SNode,
-    TNode,
     _NO_VALUE,
     dual,
-    flag_pos,
     iterate_main,
 )
 from repro.engine.partitioner import portable_hash
@@ -201,7 +200,6 @@ class CTrie:
     ) -> Any:
         """Returns the replaced value, ``_NO_VALUE``, or ``RESTART``."""
         level = 0
-        parent: INode | None = None
         while True:
             if _atomic._yield_hook is not None:
                 _atomic._yield_hook("get")
@@ -215,7 +213,7 @@ class CTrie:
                 child = main.array[pos] if bitmap & flag else None
                 if child.__class__ is INode:
                     if child.gen is startgen:
-                        parent, inode = inode, child
+                        inode = child
                         level += W
                         continue
                     if self._gcas(inode, main, main.renewed(startgen, self)):
@@ -242,9 +240,6 @@ class CTrie:
                     )
                 new = CNode(bitmap | flag, tuple(children), startgen)
                 return replaced if self._gcas(inode, main, new) else RESTART
-            if main.__class__ is TNode:
-                self._clean(parent, level - W)
-                return RESTART
             if main.__class__ is LNode:
                 replaced = main.get(key)
                 if self._gcas(inode, main, main.inserted(key, value)):
@@ -268,7 +263,6 @@ class CTrie:
     def _ilookup(self, inode: INode, key: Any, h: int, startgen: Gen) -> Any:
         readonly = self._readonly
         level = 0
-        parent: INode | None = None
         while True:
             if _atomic._yield_hook is not None:
                 _atomic._yield_hook("get")
@@ -285,7 +279,7 @@ class CTrie:
                     # A read-only snapshot never renews: its nodes all
                     # predate the generation the live trie moved to.
                     if readonly or child.gen is startgen:
-                        parent, inode = inode, child
+                        inode = child
                         level += W
                         continue
                     if self._gcas(inode, main, main.renewed(startgen, self)):
@@ -294,118 +288,9 @@ class CTrie:
                 if child.hash == h and child.key == key:
                     return child.value
                 return _NO_VALUE
-            if main.__class__ is TNode:
-                if readonly:
-                    if main.hash == h and main.key == key:
-                        return main.value
-                    return _NO_VALUE
-                self._clean(parent, level - W)
-                return RESTART
             if main.__class__ is LNode:
                 return main.get(key)
             raise ConcurrencyError(f"unexpected main node {main!r}")
-
-    # ------------------------------------------------------------------
-    # Remove
-    # ------------------------------------------------------------------
-
-    def remove(self, key: Any) -> Any:
-        """Remove ``key``; returns the removed value or None."""
-        if self._readonly:
-            raise ConcurrencyError("cannot remove from a read-only snapshot")
-        h = self._hash(key)
-        while True:
-            root = self._rdcss_read_root()
-            result = self._iremove(root, key, h, 0, None, root.gen)
-            if result is not RESTART:
-                return None if result is _NO_VALUE else result
-
-    def _iremove(
-        self,
-        inode: INode,
-        key: Any,
-        h: int,
-        level: int,
-        parent: INode | None,
-        startgen: Gen,
-    ) -> Any:
-        main = self.gcas_read(inode)
-        if isinstance(main, CNode):
-            flag, pos = flag_pos(h, level, main.bitmap)
-            if (main.bitmap & flag) == 0:
-                return _NO_VALUE
-            child = main.array[pos]
-            if isinstance(child, INode):
-                if startgen is child.gen:
-                    result = self._iremove(child, key, h, level + W, inode, startgen)
-                elif self._gcas(inode, main, main.renewed(startgen, self)):
-                    result = self._iremove(inode, key, h, level, parent, startgen)
-                else:
-                    result = RESTART
-            else:
-                if child.hash == h and child.key == key:
-                    contracted = main.removed_at(pos, flag, startgen).to_contracted(level)
-                    if self._gcas(inode, main, contracted):
-                        result = child.value
-                    else:
-                        result = RESTART
-                else:
-                    result = _NO_VALUE
-            if result is RESTART or result is _NO_VALUE:
-                return result
-            # The subtree may have collapsed to a tomb: propagate upward.
-            if parent is not None:
-                after = self.gcas_read(inode)
-                if isinstance(after, TNode):
-                    self._clean_parent(parent, inode, h, level - W, startgen)
-            return result
-        if isinstance(main, TNode):
-            self._clean(parent, level - W)
-            return RESTART
-        if isinstance(main, LNode):
-            value = main.get(key)
-            if value is _NO_VALUE:
-                return _NO_VALUE
-            shrunk: MainNode = main.removed(key)
-            if len(shrunk) == 1:
-                only_key, only_value = shrunk.entries[0]
-                shrunk = TNode(only_key, only_value, self._hash(only_key))
-            if self._gcas(inode, main, shrunk):
-                return value
-            return RESTART
-        raise ConcurrencyError(f"unexpected main node {main!r}")
-
-    # ------------------------------------------------------------------
-    # Cleaning (lazy compression after removals / tombs)
-    # ------------------------------------------------------------------
-
-    def _clean(self, inode: INode | None, level: int) -> None:
-        if inode is None:
-            return
-        main = self.gcas_read(inode)
-        if isinstance(main, CNode):
-            self._gcas(inode, main, main.to_compressed(self, level, inode.gen))
-
-    def _clean_parent(
-        self, parent: INode, inode: INode, h: int, level: int, startgen: Gen
-    ) -> None:
-        while True:
-            pmain = self.gcas_read(parent)
-            if not isinstance(pmain, CNode):
-                return
-            flag, pos = flag_pos(h, level, pmain.bitmap)
-            if (pmain.bitmap & flag) == 0:
-                return
-            if pmain.array[pos] is not inode:
-                return
-            main = self.gcas_read(inode)
-            if isinstance(main, TNode):
-                contracted = pmain.updated_at(pos, main.untombed(), inode.gen)
-                contracted = contracted.to_contracted(level)
-                if not self._gcas(parent, pmain, contracted):
-                    if self._rdcss_read_root().gen is startgen:
-                        continue
-            return
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -449,11 +334,6 @@ class CTrie:
 
     def __setitem__(self, key: Any, value: Any) -> None:
         self.insert(key, value)
-
-    def __delitem__(self, key: Any) -> None:
-        if self.lookup(key, _NO_VALUE) is _NO_VALUE:
-            raise KeyError(key)
-        self.remove(key)
 
     def __contains__(self, key: Any) -> bool:
         return self.lookup(key, _NO_VALUE) is not _NO_VALUE

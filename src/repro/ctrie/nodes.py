@@ -8,11 +8,12 @@ The structure follows the reference Scala implementation
 * a :class:`CNode` is a branch: a 32-bit bitmap plus a dense array of
   children (either :class:`SNode` leaves or nested :class:`INode`\\ s);
 * an :class:`SNode` is a key/value leaf;
-* a :class:`TNode` is a *tombed* singleton left behind by removals,
-  compressed away lazily;
 * an :class:`LNode` is a collision list used when two keys share the
   full 64-bit hash;
 * a :class:`FailedNode` marks a GCAS that must roll back.
+
+Removal is omitted (the paper's tables are append-only), so there is
+no tombed node and no compression pass.
 
 Generations (:class:`Gen`) are plain marker objects: a snapshot stamps
 a fresh generation on the root, and writers copy any node of an older
@@ -83,24 +84,6 @@ class SNode:
         return f"SNode({self.key!r}={self.value!r})"
 
 
-class TNode(MainNode):
-    """Tombed singleton: the last entry of a collapsed CNode."""
-
-    __slots__ = ("key", "value", "hash")
-
-    def __init__(self, key: Any, value: Any, hash_: int):
-        self.prev = None
-        self.key = key
-        self.value = value
-        self.hash = hash_
-
-    def untombed(self) -> SNode:
-        return SNode(self.key, self.value, self.hash)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"TNode({self.key!r}={self.value!r})"
-
-
 class LNode(MainNode):
     """Collision list for keys whose 64-bit hashes are fully equal."""
 
@@ -115,17 +98,11 @@ class LNode(MainNode):
         kept.append((key, value))
         return LNode(kept)
 
-    def removed(self, key: Any) -> "LNode":
-        return LNode([(k, v) for k, v in self.entries if k != key])
-
     def get(self, key: Any) -> Any:
         for k, v in self.entries:
             if k == key:
                 return v
         return _NO_VALUE
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"LNode({list(self.entries)!r})"
@@ -155,17 +132,7 @@ class CNode(MainNode):
         self.array = array if array.__class__ is tuple else tuple(array)
         self.gen = gen
 
-    # -- structural updates (all return new CNodes) ---------------------
-
-    def updated_at(self, pos: int, branch: Any, gen: Gen) -> "CNode":
-        arr = list(self.array)
-        arr[pos] = branch
-        return CNode(self.bitmap, arr, gen)
-
-    def removed_at(self, pos: int, flag: int, gen: Gen) -> "CNode":
-        arr = list(self.array)
-        del arr[pos]
-        return CNode(self.bitmap & ~flag, arr, gen)
+    # -- copy-on-write (returns new CNodes) ------------------------------
 
     def renewed_children(self, gen: Gen, trie: Any) -> list:
         """This node's children with every INode copied into ``gen`` —
@@ -195,30 +162,6 @@ class CNode(MainNode):
         """Copy this CNode into ``gen``, copying INode children too."""
         return CNode(self.bitmap, tuple(self.renewed_children(gen, trie)), gen)
 
-    # -- compression -----------------------------------------------------
-
-    def to_compressed(self, trie: Any, level: int, gen: Gen) -> MainNode:
-        """Resurrect tombed children and contract if possible."""
-        arr = []
-        for child in self.array:
-            if isinstance(child, INode):
-                main = trie.gcas_read(child)
-                if isinstance(main, TNode):
-                    arr.append(main.untombed())
-                else:
-                    arr.append(child)
-            else:
-                arr.append(child)
-        return CNode(self.bitmap, arr, gen).to_contracted(level)
-
-    def to_contracted(self, level: int) -> MainNode:
-        """A single-SNode CNode below the root contracts to a TNode."""
-        if level > 0 and len(self.array) == 1:
-            only = self.array[0]
-            if isinstance(only, SNode):
-                return TNode(only.key, only.value, only.hash)
-        return self
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CNode(bitmap={self.bitmap:#x}, children={len(self.array)})"
 
@@ -235,14 +178,6 @@ class _NoValue:
 _NO_VALUE = _NoValue()
 #: Sentinel returned by internal ops to request a retry from the root.
 RESTART = _NoValue()
-
-
-def flag_pos(hash_: int, level: int, bitmap: int) -> tuple[int, int]:
-    """Bitmap flag and dense-array position for ``hash_`` at ``level``."""
-    index = (hash_ >> level) & 0x1F
-    flag = 1 << index
-    pos = (bitmap & (flag - 1)).bit_count()
-    return flag, pos
 
 
 def dual(
@@ -276,7 +211,5 @@ def iterate_main(trie: Any, node: MainNode | None) -> Iterator[tuple[Any, Any]]:
                 yield (child.key, child.value)
             elif isinstance(child, INode):
                 yield from iterate_main(trie, trie.gcas_read(child))
-    elif isinstance(node, TNode):
-        yield (node.key, node.value)
     elif isinstance(node, LNode):
         yield from node.entries

@@ -16,21 +16,18 @@ the paper builds on, and it imports nothing from the layers above it:
   injected medium such as the process backend's spill files;
 * :mod:`~repro.engine.query` — the per-query context and cooperative
   cancellation every layer polls;
-* :class:`~repro.engine.cache.BlockManager` — per-partition cache with
-  LRU eviction, the substrate the Indexed DataFrame "stays cached" in;
+* :class:`~repro.engine.cache.BlockManager` — the LRU block store
+  behind ``RDD.cache()``; no SQL operator calls it, since indexed
+  partitions live in memory on their own;
 * :class:`~repro.engine.context.EngineContext` — the ``SparkContext``
   analogue tying the pieces together.
 """
 
-from repro.engine.accumulators import Accumulator, list_accumulator, long_accumulator
 from repro.engine.context import EngineContext
 from repro.engine.partitioner import HashPartitioner, Partitioner, RangePartitioner
 from repro.engine.rdd import RDD
 
 __all__ = [
-    "Accumulator",
-    "long_accumulator",
-    "list_accumulator",
     "EngineContext",
     "HashPartitioner",
     "Partitioner",

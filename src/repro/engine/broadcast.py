@@ -4,16 +4,13 @@ In a single-process engine a broadcast is just a shared read-only
 reference, but we keep the Spark API shape — ``context.broadcast(x)``
 returning a handle with ``.value`` — because the indexed join's
 broadcast fallback (paper §2, "Indexed Join") is expressed through it,
-and because destroying a broadcast must invalidate readers exactly as
-in Spark.
+and because the process backend ships each handle to its workers once.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Generic, TypeVar
-
-from repro.errors import EngineError
+from typing import Generic, TypeVar
 
 T = TypeVar("T")
 
@@ -25,20 +22,7 @@ class Broadcast(Generic[T]):
 
     def __init__(self, value: T):
         self.broadcast_id = next(Broadcast._ids)
-        self._value: T | None = value
-        self._valid = True
-
-    @property
-    def value(self) -> T:
-        if not self._valid:
-            raise EngineError(f"broadcast {self.broadcast_id} was destroyed")
-        return self._value  # type: ignore[return-value]
-
-    def destroy(self) -> None:
-        """Release the value; subsequent reads raise."""
-        self._valid = False
-        self._value = None
+        self.value = value
 
     def __repr__(self) -> str:
-        state = "valid" if self._valid else "destroyed"
-        return f"Broadcast(id={self.broadcast_id}, {state})"
+        return f"Broadcast(id={self.broadcast_id})"

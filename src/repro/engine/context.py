@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from repro.config import Config
-from repro.engine.accumulators import Accumulator, list_accumulator, long_accumulator
 from repro.engine.backend import ExecutorBackend, LocalBackend
 from repro.engine.broadcast import Broadcast
 from repro.engine.cache import BlockManager, estimate_size
@@ -38,7 +37,7 @@ class EngineContext:
 
         ctx = EngineContext(Config())
         rdd = ctx.parallelize(range(1000), 8)
-        total = rdd.map(lambda x: x * x).sum()
+        squares = rdd.map(lambda x: x * x).collect()
         ctx.stop()
 
     With ``executors=0`` (the default) every task runs on the thread
@@ -102,14 +101,6 @@ class EngineContext:
         if query is not None and query.governor is not None:
             query.governor.charge(query, estimate_size(value))
         return Broadcast(value)
-
-    def long_accumulator(self, name: str | None = None) -> Accumulator[int]:
-        """A shared counter tasks can add to (driver reads .value)."""
-        return long_accumulator(name)
-
-    def list_accumulator(self, name: str | None = None) -> Accumulator[list]:
-        """A shared collector (e.g. for sampled bad records)."""
-        return list_accumulator(name)
 
     # ------------------------------------------------------------------
     # Job submission

@@ -190,28 +190,11 @@ class RDD(ABC):
         rdd._index_sensitive = True
         return rdd
 
-    def glom(self) -> "RDD":
-        """Collapse each partition into a single list element."""
-        return MapPartitionsRDD(self, lambda _i, it: iter([list(it)]))
-
     def key_by(self, fn: Callable[[Any], Any]) -> "RDD":
         return self.map(lambda x: (fn(x), x))
 
     def union(self, other: "RDD") -> "RDD":
         return UnionRDD(self.context, [self, other])
-
-    def zip_with_index(self) -> "RDD":
-        """Pair each element with its global index (requires a count job
-        per preceding partition, like Spark's ``zipWithIndex``)."""
-        counts = self.map_partitions(lambda it: [sum(1 for _ in it)]).collect()
-        offsets = [0]
-        for c in counts[:-1]:
-            offsets.append(offsets[-1] + c)
-
-        def attach(i: int, it: Iterator[Any]) -> Iterator[Any]:
-            return ((x, offsets[i] + j) for j, x in enumerate(it))
-
-        return self.map_partitions_with_index(attach)
 
     def sample(self, fraction: float, seed: int = 17) -> "RDD":
         """Deterministic Bernoulli sample based on a per-element hash."""
@@ -246,30 +229,11 @@ class RDD(ABC):
         shuffled.allow_coalesce = False
         return shuffled
 
-    def group_by_key(self, num_partitions: int | None = None) -> "RDD":
-        agg = Aggregator(
-            create=lambda v: [v],
-            merge=lambda acc, v: (acc.append(v) or acc),
-            combine=lambda a, b: a + b,
-        )
-        return self._combine(agg, num_partitions, map_side_combine=False)
-
     def reduce_by_key(
         self, fn: Callable[[Any, Any], Any], num_partitions: int | None = None
     ) -> "RDD":
         agg = Aggregator(create=lambda v: v, merge=fn, combine=fn)
         return self._combine(agg, num_partitions, map_side_combine=True)
-
-    def combine_by_key(
-        self,
-        create: Callable[[Any], Any],
-        merge: Callable[[Any, Any], Any],
-        combine: Callable[[Any, Any], Any],
-        num_partitions: int | None = None,
-        map_side_combine: bool = True,
-    ) -> "RDD":
-        agg = Aggregator(create=create, merge=merge, combine=combine)
-        return self._combine(agg, num_partitions, map_side_combine)
 
     def _combine(
         self, agg: Aggregator, num_partitions: int | None, map_side_combine: bool
@@ -305,15 +269,6 @@ class RDD(ABC):
             combine=lambda a, b: (a[0] + b[0], a[1] + b[1]),
         )
         return tagged._combine(agg, n, map_side_combine=False)
-
-    def join_pairs(self, other: "RDD", num_partitions: int | None = None) -> "RDD":
-        """Inner join of pair RDDs → ``(k, (v_self, v_other))``."""
-
-        def emit(kv: tuple[Any, tuple[list, list]]) -> Iterator[Any]:
-            k, (lefts, rights) = kv
-            return ((k, (lv, rv)) for lv in lefts for rv in rights)
-
-        return self.cogroup(other, num_partitions).flat_map(emit)
 
     def distinct(self, num_partitions: int | None = None) -> "RDD":
         return (
@@ -393,51 +348,6 @@ class RDD(ABC):
             out.extend(part)
             split += 1
         return out[:n]
-
-    def first(self) -> Any:
-        rows = self.take(1)
-        if not rows:
-            raise EngineError("first() on an empty RDD")
-        return rows[0]
-
-    def reduce(self, fn: Callable[[Any, Any], Any]) -> Any:
-        def reduce_part(it: Iterator[Any]) -> list[Any]:
-            acc = None
-            seen = False
-            for x in it:
-                acc = x if not seen else fn(acc, x)
-                seen = True
-            return [acc] if seen else []
-
-        parts = [x for part in self.context.run_job(self, reduce_part) for x in part]
-        if not parts:
-            raise EngineError("reduce() on an empty RDD")
-        acc = parts[0]
-        for x in parts[1:]:
-            acc = fn(acc, x)
-        return acc
-
-    def fold(self, zero: Any, fn: Callable[[Any, Any], Any]) -> Any:
-        def fold_part(it: Iterator[Any]) -> Any:
-            acc = zero
-            for x in it:
-                acc = fn(acc, x)
-            return acc
-
-        acc = zero
-        for part in self.context.run_job(self, fold_part):
-            acc = fn(acc, part)
-        return acc
-
-    def sum(self) -> Any:
-        parts = self.context.run_job(self, lambda it: sum(it))
-        return sum(parts)
-
-    def foreach_partition(self, fn: Callable[[Iterator[Any]], None]) -> None:
-        self.context.run_job(self, lambda it: fn(it))
-
-    def count_by_key(self) -> dict[Any, int]:
-        return dict(self.map(lambda kv: (kv[0], 1)).reduce_by_key(lambda a, b: a + b).collect())
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(id={self.rdd_id}, partitions={self.num_partitions})"

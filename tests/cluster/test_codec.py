@@ -9,9 +9,7 @@ import pytest
 
 from repro.cluster.codec import TaskCodec, dumps_reply, loads_envelope, loads_reply
 from repro.cluster.shm import DriverShipStore, WorkerShipCache
-from repro.cluster.worker import _AccumulatorProxy
 from repro.core import create_index
-from repro.engine.accumulators import long_accumulator
 from repro.errors import EngineError
 
 MODULE_GLOBAL = 17
@@ -26,13 +24,6 @@ class _FakeWorker:
 
     def __init__(self) -> None:
         self.ship_cache = WorkerShipCache()
-        self._proxies: dict[int, _AccumulatorProxy] = {}
-
-    def accumulator_proxy(self, accumulator_id: int) -> _AccumulatorProxy:
-        proxy = self._proxies.get(accumulator_id)
-        if proxy is None:
-            proxy = self._proxies[accumulator_id] = _AccumulatorProxy(accumulator_id)
-        return proxy
 
 
 @pytest.fixture()
@@ -43,10 +34,9 @@ def ship():
 
 
 def roundtrip(ship, payload):
-    codec = TaskCodec(ship)
     worker = _FakeWorker()
     try:
-        return loads_envelope(codec.dumps_envelope(payload), worker), worker, codec
+        return loads_envelope(TaskCodec(ship).dumps_envelope(payload), worker)
     finally:
         worker.ship_cache.close()
 
@@ -54,7 +44,7 @@ def roundtrip(ship, payload):
 def test_lambda_with_closure_and_globals(ship):
     offset = 5
     fn = lambda x: module_level_helper(x) + offset + MODULE_GLOBAL  # noqa: E731
-    out, _worker, _codec = roundtrip(ship, {"fn": fn})
+    out = roundtrip(ship, {"fn": fn})
     assert out["fn"](1) == (1 + 17) + 5 + 17
 
 
@@ -65,13 +55,13 @@ def test_nested_function_with_defaults(ship):
 
         return inner
 
-    out, _worker, _codec = roundtrip(ship, {"fn": make(100)})
+    out = roundtrip(ship, {"fn": make(100)})
     assert out["fn"](2) == 106
     assert out["fn"](2, scale=1, bias=0) == 2
 
 
 def test_module_level_function_by_reference(ship):
-    out, _worker, _codec = roundtrip(ship, {"fn": module_level_helper})
+    out = roundtrip(ship, {"fn": module_level_helper})
     assert out["fn"] is module_level_helper
 
 
@@ -81,43 +71,21 @@ def test_struct_objects_roundtrip(ship):
     def pack(row, _s=packer):
         return _s.pack(*row)
 
-    out, _worker, _codec = roundtrip(ship, {"fn": pack})
+    out = roundtrip(ship, {"fn": pack})
     assert out["fn"]((7, 2.5)) == packer.pack(7, 2.5)
 
 
-def test_accumulator_becomes_write_only_proxy(ship):
-    acc = long_accumulator("rows")
-
-    def bump(n, _acc=acc):
-        _acc.add(n)
-        return n
-
-    out, worker, codec = roundtrip(ship, {"fn": bump})
-    assert out["fn"](4) == 4
-    proxy = worker._proxies[acc.accumulator_id]
-    assert proxy.deltas == [4]
-    with pytest.raises(EngineError):
-        _ = proxy.value
-    # driver side registered the real accumulator for delta replay
-    assert codec.accumulators[acc.accumulator_id] is acc
-
-
 def test_reply_falls_back_on_unpicklable_payload():
-    status, payload, deltas, generation = loads_reply(
-        dumps_reply("ok", threading.Lock(), [(1, [2])], 3)
-    )
+    status, payload, generation = loads_reply(dumps_reply("ok", threading.Lock(), 3))
     assert status == "err"
     assert isinstance(payload, EngineError)
     assert "unpicklable" in str(payload)
-    assert deltas == [(1, [2])]  # deltas survive the substitution
     assert generation == 3  # the fencing stamp survives too
 
 
 def test_reply_ok_roundtrip():
-    status, payload, deltas, generation = loads_reply(
-        dumps_reply("ok", [1, 2, 3], [], 2)
-    )
-    assert (status, payload, deltas, generation) == ("ok", [1, 2, 3], [], 2)
+    status, payload, generation = loads_reply(dumps_reply("ok", [1, 2, 3], 2))
+    assert (status, payload, generation) == ("ok", [1, 2, 3], 2)
 
 
 def test_ship_store_publishes_once(ship):
@@ -147,7 +115,7 @@ def test_non_durable_snapshot_still_ships_shm(ship, indexed_session):
         for snap in (p.snapshot() for p in create_index(df, "id").store.partitions)
         if snap.row_count
     )
-    out, _worker, _codec = roundtrip(ship, {"snap": snap})
+    out = roundtrip(ship, {"snap": snap})
     assert out["snap"].row_count == snap.row_count
     assert len(ship._segments) > 0
 

@@ -34,8 +34,8 @@ def make_rows(start: int, n: int) -> list[tuple]:
 
 
 def _answers(state_dir, executors: int) -> tuple[dict, int]:
-    """Every answer of the workload, and the snapshot segments the
-    driver published (0 in process)."""
+    """Every answer of the workload, and the shared-memory segments
+    live after it (0 in process)."""
     session = Session(
         durable_config(
             state_dir,
@@ -79,7 +79,7 @@ def _answers(state_dir, executors: int) -> tuple[dict, int]:
             assert stats["tasks_dispatched"] > 0
             assert stats["codec_fallbacks"] == fallbacks
             assert stats["workers_lost"] == 0
-            segments = len(session.ctx.backend._ship._snapshot_tokens)
+            segments = stats["shm_segments"]
     finally:
         session.stop()
     return answers, segments

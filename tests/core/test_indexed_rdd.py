@@ -48,7 +48,7 @@ class TestIndexedRowBatchRDD:
     def test_engine_ops_compose(self, snapshots):
         ctx, snaps = snapshots
         rdd = IndexedRowBatchRDD(ctx, snaps)
-        total = rdd.map(lambda r: r[2]).sum()
+        total = sum(rdd.map(lambda r: r[2]).collect())
         assert total == sum(float(i) for i in range(100))
 
 

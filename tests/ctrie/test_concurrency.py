@@ -59,23 +59,6 @@ class TestConcurrentWrites:
         assert len(trie) == 1000
         assert all(trie[i] in ("a", "b", "c") for i in range(0, 1000, 53))
 
-    def test_writers_and_removers(self):
-        trie = CTrie()
-        for i in range(1000):
-            trie.insert(i, i)
-
-        def inserter():
-            for i in range(1000, 2000):
-                trie.insert(i, i)
-
-        def remover():
-            for i in range(1000):
-                trie.remove(i)
-
-        errors = run_threads(inserter, remover)
-        assert not errors
-        assert trie.to_dict() == {i: i for i in range(1000, 2000)}
-
 
 class TestConcurrentReads:
     def test_readers_never_see_partial_state(self):

@@ -71,56 +71,6 @@ class TestBasicOperations:
         with pytest.raises(KeyError):
             _ = CTrie()["nope"]
 
-    def test_delitem_missing_raises(self):
-        with pytest.raises(KeyError):
-            del CTrie()["nope"]
-
-
-class TestRemoval:
-    def test_remove_returns_value(self):
-        trie = CTrie()
-        trie.insert("k", 5)
-        assert trie.remove("k") == 5
-        assert "k" not in trie
-
-    def test_remove_missing_returns_none(self):
-        assert CTrie().remove("nope") is None
-
-    def test_remove_then_reinsert(self):
-        trie = CTrie()
-        trie.insert("k", 1)
-        trie.remove("k")
-        trie.insert("k", 2)
-        assert trie["k"] == 2
-
-    def test_remove_contracts_structure(self):
-        trie = CTrie()
-        for i in range(1000):
-            trie.insert(i, i)
-        for i in range(999):
-            trie.remove(i)
-        assert len(trie) == 1
-        assert trie[999] == 999
-        # After removing the last entry the trie is usable and empty.
-        trie.remove(999)
-        assert len(trie) == 0
-        trie.insert("again", 1)
-        assert trie["again"] == 1
-
-    def test_interleaved_insert_remove(self):
-        trie = CTrie()
-        for round_ in range(5):
-            for i in range(500):
-                trie.insert(i, (round_, i))
-            for i in range(0, 500, 2):
-                trie.remove(i)
-            assert len(trie) == 250
-            for i in range(1, 500, 2):
-                assert trie[i] == (round_, i)
-            for i in range(1, 500, 2):
-                trie.remove(i)
-            assert len(trie) == 0
-
 
 class _Collider:
     """Keys with identical portable hashes → LNode collision lists."""
@@ -160,17 +110,6 @@ class TestHashCollisions:
         trie.insert(a, 10)
         assert trie[a] == 10
 
-    def test_collision_removal_to_tomb(self):
-        trie = CTrie()
-        a, b = _Collider("a"), _Collider("b")
-        trie.insert(a, 1)
-        trie.insert(b, 2)
-        assert trie.remove(a) == 1
-        assert trie[b] == 2
-        assert a not in trie
-        assert trie.remove(b) == 2
-        assert len(trie) == 0
-
 
 class TestIteration:
     def test_items_complete(self):
@@ -201,8 +140,6 @@ class TestReadonlySafety:
         snapshot = trie.readonly_snapshot()
         with pytest.raises(ConcurrencyError):
             snapshot.insert("b", 2)
-        with pytest.raises(ConcurrencyError):
-            snapshot.remove("a")
 
     def test_readonly_of_readonly_is_self(self):
         snapshot = CTrie().readonly_snapshot()

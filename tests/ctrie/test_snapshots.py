@@ -25,14 +25,6 @@ class TestReadonlySnapshot:
         assert snap["k"] == "old"
         assert trie["k"] == "new"
 
-    def test_isolated_from_removals(self):
-        trie = CTrie()
-        trie.insert("k", 1)
-        snap = trie.readonly_snapshot()
-        trie.remove("k")
-        assert snap["k"] == 1
-        assert "k" not in trie
-
     def test_chain_of_versions(self):
         trie = CTrie()
         versions = []
@@ -66,16 +58,6 @@ class TestWritableSnapshot:
             fork.insert(i, "forked")
         assert all(trie[i] == "base" for i in range(0, 1000, 97))
         assert all(fork[i] == "forked" for i in range(0, 1000, 97))
-
-    def test_fork_removals_do_not_leak(self):
-        trie = CTrie()
-        for i in range(100):
-            trie.insert(i, i)
-        fork = trie.snapshot()
-        for i in range(100):
-            fork.remove(i)
-        assert len(fork) == 0
-        assert len(trie) == 100
 
     def test_nested_forks(self):
         root = CTrie()

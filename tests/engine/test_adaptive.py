@@ -49,8 +49,8 @@ class TestCoalescing:
     def test_chained_shuffles_coalesce_independently(self, adaptive_ctx):
         rdd = (
             tiny_reduce(adaptive_ctx)
-            .map(lambda kv: (kv[1], kv[0]))
-            .group_by_key(num_partitions=16)
+            .map(lambda kv: (kv[1], [kv[0]]))
+            .reduce_by_key(lambda a, b: a + b, num_partitions=16)
         )
         result = {k: sorted(v) for k, v in rdd.collect()}
         assert result == {50: [0, 1, 2, 3]}

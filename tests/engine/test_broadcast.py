@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import EngineError
-
 
 class TestBroadcast:
     def test_value_shared_with_tasks(self, ctx):
@@ -13,17 +9,5 @@ class TestBroadcast:
         rdd = ctx.parallelize([1, 2, 1], 2).map(lambda k: table.value[k])
         assert rdd.collect() == ["one", "two", "one"]
 
-    def test_destroy_invalidates(self, ctx):
-        b = ctx.broadcast([1, 2, 3])
-        b.destroy()
-        with pytest.raises(EngineError):
-            _ = b.value
-
     def test_ids_unique(self, ctx):
         assert ctx.broadcast(1).broadcast_id != ctx.broadcast(1).broadcast_id
-
-    def test_repr_reflects_state(self, ctx):
-        b = ctx.broadcast("x")
-        assert "valid" in repr(b)
-        b.destroy()
-        assert "destroyed" in repr(b)

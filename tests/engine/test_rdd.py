@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.partitioner import HashPartitioner
-from repro.errors import EngineError
 
 
 class TestNarrowTransformations:
@@ -30,9 +29,6 @@ class TestNarrowTransformations:
         )
         assert rdd.collect() == [(0, [0, 1]), (1, [2, 3])]
 
-    def test_glom(self, ctx):
-        assert ctx.parallelize([1, 2, 3, 4], 2).glom().collect() == [[1, 2], [3, 4]]
-
     def test_key_by(self, ctx):
         assert ctx.parallelize([1, 2], 1).key_by(lambda x: -x).collect() == [
             (-1, 1),
@@ -45,10 +41,6 @@ class TestNarrowTransformations:
         u = a.union(b)
         assert u.num_partitions == 3
         assert u.collect() == [1, 2, 3]
-
-    def test_zip_with_index_is_global(self, ctx):
-        rdd = ctx.parallelize(list("abcde"), 3).zip_with_index()
-        assert rdd.collect() == [(c, i) for i, c in enumerate("abcde")]
 
     def test_sample_deterministic(self, ctx):
         rdd = ctx.parallelize(range(1000), 4)
@@ -72,7 +64,7 @@ class TestWideTransformations:
     def test_partition_by_routes_keys(self, ctx):
         pairs = ctx.parallelize([(i, i) for i in range(40)], 4)
         shuffled = pairs.partition_by(HashPartitioner(5))
-        parts = shuffled.glom().collect()
+        parts = shuffled.map_partitions(lambda it: [list(it)]).collect()
         partitioner = HashPartitioner(5)
         for index, part in enumerate(parts):
             for key, _value in part:
@@ -92,22 +84,6 @@ class TestWideTransformations:
             2: 10,
         }
 
-    def test_group_by_key(self, ctx):
-        pairs = ctx.parallelize([(1, "a"), (2, "b"), (1, "c")], 2)
-        grouped = dict(pairs.group_by_key().collect())
-        assert sorted(grouped[1]) == ["a", "c"]
-        assert grouped[2] == ["b"]
-
-    def test_combine_by_key_mean(self, ctx):
-        pairs = ctx.parallelize([(1, 2.0), (1, 4.0), (2, 6.0)], 2)
-        combined = pairs.combine_by_key(
-            create=lambda v: (v, 1),
-            merge=lambda acc, v: (acc[0] + v, acc[1] + 1),
-            combine=lambda a, b: (a[0] + b[0], a[1] + b[1]),
-        )
-        means = {k: s / n for k, (s, n) in combined.collect()}
-        assert means == {1: 3.0, 2: 6.0}
-
     def test_cogroup(self, ctx):
         left = ctx.parallelize([(1, "a"), (2, "b")], 2)
         right = ctx.parallelize([(1, "x"), (3, "y")], 2)
@@ -116,14 +92,6 @@ class TestWideTransformations:
             for k, (ls, rs) in left.cogroup(right).collect()
         )
         assert grouped == {1: (["a"], ["x"]), 2: (["b"], []), 3: ([], ["y"])}
-
-    def test_join_pairs_inner(self, ctx):
-        left = ctx.parallelize([(1, "a"), (1, "b"), (2, "c")], 2)
-        right = ctx.parallelize([(1, "x")], 1)
-        assert sorted(left.join_pairs(right).collect()) == [
-            (1, ("a", "x")),
-            (1, ("b", "x")),
-        ]
 
     def test_distinct(self, ctx):
         assert sorted(ctx.parallelize([1, 2, 2, 3, 3, 3], 3).distinct().collect()) == [
@@ -171,10 +139,6 @@ class TestWideTransformations:
         assert ctx.scheduler.metrics.snapshot()["jobs"] > jobs
         assert sorted_rdd.collect() == [1, 2, 3]
 
-    def test_count_by_key(self, ctx):
-        pairs = ctx.parallelize([(1, "x"), (1, "y"), (2, "z")], 2)
-        assert pairs.count_by_key() == {1: 2, 2: 1}
-
 
 class TestActions:
     def test_collect_preserves_partition_order(self, ctx):
@@ -199,29 +163,6 @@ class TestActions:
 
     def test_take_zero(self, ctx):
         assert ctx.parallelize([1], 1).take(0) == []
-
-    def test_first(self, ctx):
-        assert ctx.parallelize([7, 8], 2).first() == 7
-
-    def test_first_empty_raises(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.empty_rdd().first()
-
-    def test_reduce(self, ctx):
-        assert ctx.parallelize(range(1, 5), 2).reduce(lambda a, b: a * b) == 24
-
-    def test_reduce_with_empty_partitions(self, ctx):
-        assert ctx.parallelize([5], 4).reduce(lambda a, b: a + b) == 5
-
-    def test_reduce_empty_raises(self, ctx):
-        with pytest.raises(EngineError):
-            ctx.empty_rdd().reduce(lambda a, b: a + b)
-
-    def test_fold(self, ctx):
-        assert ctx.parallelize(range(5), 2).fold(0, lambda a, b: a + b) == 10
-
-    def test_sum(self, ctx):
-        assert ctx.parallelize(range(10), 3).sum() == 45
 
 
 class TestCaching:

@@ -28,7 +28,7 @@ class TestStagePlanning:
             ctx.parallelize([(i % 3, 1) for i in range(30)], 3)
             .reduce_by_key(lambda a, b: a + b)
             .map(lambda kv: (kv[1], kv[0]))
-            .group_by_key()
+            .reduce_by_key(lambda a, b: a + b)
             .count()
         )
         assert ctx.scheduler.metrics.stages - before == 3
@@ -78,13 +78,13 @@ class TestFailures:
     def test_engine_usable_after_failure(self, ctx):
         with pytest.raises(TaskError):
             ctx.parallelize([1], 1).map(lambda _x: 1 / 0).collect()
-        assert ctx.parallelize([1, 2], 2).sum() == 3
+        assert sum(ctx.parallelize([1, 2], 2).collect()) == 3
 
 
 class TestParallelism:
     def test_single_thread_config_works(self):
         with EngineContext(Config(default_parallelism=2)) as ctx:
-            assert ctx.parallelize(range(100), 8).sum() == 4950
+            assert sum(ctx.parallelize(range(100), 8).collect()) == 4950
 
     def test_many_threads_correct(self):
         with EngineContext(Config(default_parallelism=8)) as ctx:
